@@ -39,7 +39,7 @@ reference — and the single-listener slot — coherent.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Set, TYPE_CHECKING
 
 from repro.bt.torrent import PieceBook
 
@@ -54,14 +54,31 @@ except AttributeError:  # pragma: no cover - 3.9 fallback
         return bin(mask).count("1")
 
 
+#: ``_BYTE_BITS[b]`` = the set bit positions of byte ``b``, ascending.
+_BYTE_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1)
+                   for byte in range(256))
+
+
+def mask_bits(mask: int) -> Sequence[int]:
+    """The bit positions of ``mask`` in ascending order.
+
+    One table lookup per byte of the mask instead of one big-int
+    operation per set bit; a one-byte mask is the table entry itself.
+    The ascending order is part of the contract: LRF tie pools and the
+    bootstrap draw consume these sequences in the order ``sorted()``
+    gives the equivalent set.
+    """
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    return [base + bit
+            for base, byte in zip(range(0, len(data) << 3, 8), data)
+            for bit in _BYTE_BITS[byte]]
+
+
 def mask_to_set(mask: int) -> Set[int]:
     """The set of bit positions in ``mask``."""
-    out = set()
-    while mask:
-        low = mask & -mask
-        out.add(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return set(mask_bits(mask))
 
 
 def set_to_mask(pieces) -> int:
@@ -119,7 +136,9 @@ class ColumnarBook(PieceBook):
         return True
 
     def has(self, piece: int) -> bool:
-        return bool(self._cmask >> piece & 1)
+        # No mask holds a bit at or above n_pieces, so only negative
+        # indices (a ValueError for ``>>``) need the range guard.
+        return piece >= 0 and bool(self._cmask >> piece & 1)
 
     @property
     def completed_count(self) -> int:
@@ -142,6 +161,11 @@ class ColumnarBook(PieceBook):
                         self._listener_owner, piece)
 
     def unexpect(self, piece: int) -> None:
+        # Out of range is a no-op, as in PieceBook (where such a piece
+        # is never missing); a phantom wanted bit would reach the
+        # index as a want for a piece that does not exist.
+        if not 0 <= piece < self.torrent.n_pieces:
+            return
         bit = 1 << piece
         self._emask &= ~bit
         if not self._cmask & bit and not self._wmask & bit:
@@ -151,7 +175,7 @@ class ColumnarBook(PieceBook):
                     self._listener_owner, piece)
 
     def is_expected(self, piece: int) -> bool:
-        return bool(self._emask >> piece & 1)
+        return piece >= 0 and bool(self._emask >> piece & 1)
 
     # -- derived sets ---------------------------------------------------
     def missing(self) -> Set[int]:
@@ -166,7 +190,7 @@ class ColumnarBook(PieceBook):
         return {p for p in other_completed if wmask >> p & 1}
 
     def wants(self, piece: int) -> bool:
-        return bool(self._wmask >> piece & 1)
+        return piece >= 0 and bool(self._wmask >> piece & 1)
 
     def _wanted_nonempty(self) -> bool:
         return bool(self._wmask)
@@ -364,12 +388,7 @@ class ColumnarState:
         equal the naive availability and the tie-break (sorted pool,
         one ``rng.choice``) is shared code.
         """
-        counts: Dict[int, int] = {}
-        mask = cand_mask
-        while mask:
-            low = mask & -mask
-            counts[low.bit_length() - 1] = 0
-            mask ^= low
+        counts: Dict[int, int] = dict.fromkeys(mask_bits(cand_mask), 0)
         row = self.row_of.get(peer.id)
         if row is None:
             return counts
@@ -378,11 +397,8 @@ class ColumnarState:
         for nrow in self.adj_rows[row]:
             if not alive[nrow]:
                 continue
-            overlap = books[nrow]._cmask & cand_mask
-            while overlap:
-                low = overlap & -overlap
-                counts[low.bit_length() - 1] += 1
-                overlap ^= low
+            for piece in mask_bits(books[nrow]._cmask & cand_mask):
+                counts[piece] += 1
         return counts
 
     def live_neighbors(self, peer: "Peer"):

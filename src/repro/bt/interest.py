@@ -70,7 +70,12 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from repro.bt.columnar import ColumnarBook, _popcount, mask_to_set
+from repro.bt.columnar import (
+    ColumnarBook,
+    _popcount,
+    mask_bits,
+    set_to_mask,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bt.peer import Peer
@@ -132,6 +137,11 @@ class InterestIndex:
         (missing key = zero copies)."""
         return self._avail.get(chooser_id, _EMPTY_ROW)
 
+    def tracked_peer(self, peer_id: str) -> Optional["Peer"]:
+        """The peer while it is tracked (active and registered), else
+        ``None``."""
+        return self._tracked.get(peer_id)
+
     # ------------------------------------------------------------------
     # Peer lifecycle
     # ------------------------------------------------------------------
@@ -147,8 +157,8 @@ class InterestIndex:
         if pid in self._tracked:
             return
         book = peer.book
-        wanted = book.wanted()
-        completed = book.completed
+        wanted = _wanted_of(book)
+        completed = _completed_of(book)
         tracked = self._tracked
         rows = self._rows
         row: Dict[str, int] = {}
@@ -163,10 +173,10 @@ class InterestIndex:
                     row[other_id] = count
                 count = _popcount(other_book._cmask & book._wmask)
             else:
-                count = len(completed & other_book.wanted())
+                count = len(book.completed & other_book.wanted())
                 if count:
                     row[other_id] = count
-                count = len(other_book.completed & wanted)
+                count = len(other_book.completed & book.wanted())
             if count:
                 rows[other_id][pid] = count
         rows[pid] = row
@@ -186,7 +196,7 @@ class InterestIndex:
                 other = tracked.get(nid)
                 if other is None or other is peer:
                     continue
-                for piece in other.book.completed:
+                for piece in _completed_of(other.book):
                     avail_row[piece] = avail_row.get(piece, 0) + 1
                 other_row = avail[nid]
                 for piece in completed:
@@ -205,11 +215,11 @@ class InterestIndex:
         book = peer.book
         book.set_listener(None, None)
         wanters = self._wanters
-        for piece in book.wanted():
+        for piece in _wanted_of(book):
             ids = wanters.get(piece)
             if ids is not None:
                 ids.discard(pid)
-        completed = book.completed
+        completed = _completed_of(book)
         havers = self._havers
         for piece in completed:
             ids = havers.get(piece)
@@ -275,10 +285,10 @@ class InterestIndex:
             return
         avail = self._avail
         row = avail[a]
-        for piece in peer_b.book.completed:
+        for piece in _completed_of(peer_b.book):
             row[piece] = row.get(piece, 0) + 1
         row = avail[b]
-        for piece in peer_a.book.completed:
+        for piece in _completed_of(peer_a.book):
             row[piece] = row.get(piece, 0) + 1
 
     def on_edge_removed(self, a: str, b: str) -> None:
@@ -288,8 +298,8 @@ class InterestIndex:
         if peer_a is None or peer_b is None:
             return
         avail = self._avail
-        _dec_all(avail[a], peer_b.book.completed)
-        _dec_all(avail[b], peer_a.book.completed)
+        _dec_all(avail[a], _completed_of(peer_b.book))
+        _dec_all(avail[b], _completed_of(peer_a.book))
 
     # ------------------------------------------------------------------
     # Self-check (the churn property test runs this after every event)
@@ -343,6 +353,21 @@ class InterestIndex:
                 f"avail[{chooser_id}] {row} != {expected_counts}")
 
 
+def _completed_of(book) -> Iterable[int]:
+    """The book's completed pieces; for a columnar book the ascending
+    bits of its mask, so no set is materialized."""
+    if isinstance(book, ColumnarBook):
+        return mask_bits(book._cmask)
+    return book.completed
+
+
+def _wanted_of(book) -> Iterable[int]:
+    """The book's wanted pieces (see :func:`_completed_of`)."""
+    if isinstance(book, ColumnarBook):
+        return mask_bits(book._wmask)
+    return book.wanted()
+
+
 def _dec_all(row: Dict[int, int], pieces: Iterable[int]) -> None:
     """Decrement counts, dropping entries that reach zero."""
     for piece in pieces:
@@ -390,6 +415,14 @@ def wants_any_of(swarm: "Swarm", wanter: "Peer",
     return False
 
 
+def wanted_mask(book) -> int:
+    """The book's wanted pieces as a bitmask (a columnar book's own
+    mask; packed from the set for a plain book)."""
+    if isinstance(book, ColumnarBook):
+        return book._wmask
+    return set_to_mask(book.wanted())
+
+
 def offers_interest(swarm: "Swarm", requestor: "Peer",
                     extra: Iterable[int], wanter: "Peer") -> bool:
     """Does ``wanter`` want >=1 of ``requestor``'s completed pieces or
@@ -414,8 +447,8 @@ def offers_interest(swarm: "Swarm", requestor: "Peer",
     return False
 
 
-def needed_overlap(holder: "Peer", wanter: "Peer") -> Set[int]:
-    """``holder.completed ∩ wanter.wanted`` as an actual set — for the
+def needed_overlap(holder: "Peer", wanter: "Peer") -> int:
+    """``holder.completed ∩ wanter.wanted`` as a bitmask — for the
     few callers that need the elements (the bootstrap both-need rule),
     not just the predicate.  Always computed pairwise: the index keeps
     counts, not pair overlaps."""
@@ -423,5 +456,5 @@ def needed_overlap(holder: "Peer", wanter: "Peer") -> Set[int]:
     wanter_book = wanter.book
     if (isinstance(holder_book, ColumnarBook)
             and isinstance(wanter_book, ColumnarBook)):
-        return mask_to_set(holder_book._cmask & wanter_book._wmask)
-    return holder_book.completed & wanter_book.wanted()
+        return holder_book._cmask & wanter_book._wmask
+    return set_to_mask(holder_book.completed & wanter_book.wanted())

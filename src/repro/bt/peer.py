@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, TYPE_CHECKING
 
-from repro.bt.columnar import ColumnarBook
+from repro.bt.columnar import ColumnarBook, mask_bits
 from repro.bt.piece_selection import local_rarest_first, rarest_of
 from repro.bt.torrent import PieceBook
 from repro.net.bandwidth import Transfer, Uplink
@@ -430,24 +430,28 @@ class Peer:
     def choose_piece_from(self, uploader: "Peer") -> Optional[int]:
         """Receiver-side LRF piece choice (Sec. II-A)."""
         index = self.swarm.interest
-        store = self.swarm.columnar
         my_book, up_book = self.book, uploader.book
-        if index is None and store is not None \
-                and isinstance(my_book, ColumnarBook) \
+        if isinstance(my_book, ColumnarBook) \
                 and isinstance(up_book, ColumnarBook):
             cand_mask = my_book._wmask & up_book._cmask
             if not cand_mask:
                 return None
-            # Counts equal the naive availability over the same live
-            # neighbors; rarest_of is the shared tie-break.
-            return rarest_of(store.availability(self, cand_mask),
-                             self.sim.rng)
-        candidates = self.book.needs_from(uploader.book.completed)
-        if not candidates:
-            return None
+            if index is None:
+                # Counts equal the naive availability over the same live
+                # neighbors; rarest_of is the shared tie-break.
+                return rarest_of(
+                    self.swarm.columnar.availability(self, cand_mask),
+                    self.sim.rng)
+            candidates = mask_bits(cand_mask)
+        else:
+            candidates = my_book.needs_from(up_book.completed)
+            if not candidates:
+                return None
         if index is not None:
             # Fused single-pass rarest_of over the availability row:
             # same min + sorted-tie-pool + rng.choice as rarest_of.
+            # Ascending mask_bits candidates build the pool already
+            # sorted; set candidates need the sort.
             get = index.avail(self.id).get
             best = None
             pool: List[int] = []

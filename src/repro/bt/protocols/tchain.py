@@ -43,17 +43,16 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from repro.bt.columnar import ColumnarBook, set_to_mask
+from repro.bt.columnar import ColumnarBook, mask_bits, set_to_mask
 from repro.bt.interest import (
     needed_overlap,
     offers_interest,
-    wants_any_of,
+    wanted_mask,
     wants_from,
 )
 from repro.bt.peer import Peer, UploadPlan
 from repro.bt.protocols.base import BaselineLeecher
 from repro.bt.torrent import full_book, piece_payload
-from repro.core.bootstrap import select_bootstrap_piece
 from repro.core.chain import Chain, ChainRegistry
 from repro.core.exchange import ExchangeLedger
 from repro.core.flow_control import FlowController
@@ -453,12 +452,15 @@ class _TChainNode(Peer):
             blocked = self._flow_blocked
             banned = self._banned_until
             now = self.sim.now
+            tracked_peer = index.tracked_peer
             for nid in self.swarm.topology.sorted_neighbors(self.id):
                 if nid == requestor_id or nid in blocked:
                     continue
                 if banned and now < banned.get(nid, 0.0):
                     continue
-                if index.wants_any(nid, usable):
+                # Untracked (inactive) neighbors never qualify.
+                peer = tracked_peer(nid)
+                if peer is not None and wanted_mask(peer.book) & usable:
                     candidates.append(nid)
         else:
             for peer in self.neighbor_peers():
@@ -468,15 +470,17 @@ class _TChainNode(Peer):
                     continue
                 if not self.cooperative(peer.id):
                     continue
-                if wants_any_of(self.swarm, peer, usable):
+                if wanted_mask(peer.book) & usable:
                     candidates.append(peer.id)
         if not candidates:
             return None, None
         payee_id = self.sim.rng.choice(sorted(candidates))
         payee = self.swarm.find_peer(payee_id)
-        piece = select_bootstrap_piece(
-            self.book.completed, requestor.book.wanted(),
-            payee.book.wanted(), self.sim.rng)
+        # donor ∩ requestor-wanted ∩ payee-wanted, ascending: the same
+        # sorted feasible list select_bootstrap_piece draws from, and
+        # never empty (the payee wants a usable piece).
+        feasible = mask_bits(usable & wanted_mask(payee.book))
+        piece = self.sim.rng.choice(feasible)
         return piece, PayeeDecision(ReciprocityKind.INDIRECT, payee_id)
 
     def _materialize(self, requestor: Peer, piece: int,

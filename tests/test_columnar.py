@@ -23,12 +23,14 @@ from random import Random
 from repro.bt.columnar import (
     ColumnarBook,
     adopt_book,
+    mask_bits,
     mask_to_set,
     set_to_mask,
     _popcount,
 )
 from repro.bt.torrent import PieceBook, Torrent
 from repro.bt.tracker import Tracker
+from repro.core.bootstrap import select_bootstrap_piece
 from repro.experiments import run_swarm
 
 
@@ -108,6 +110,19 @@ class TestTraceNeutrality:
         assert len(traces[0]) > 200
         assert all(t == traces[0] for t in traces[1:])
 
+    def test_columnar_and_index_compose_many_pieces(self):
+        """The four combinations agree where masks span many bytes
+        (300 pieces: LRF and the bootstrap rule decode wide masks)."""
+        runs = [traced_run({"columnar": c, "interest_index": i},
+                           leechers=10, pieces=300,
+                           freerider_fraction=0.25)
+                for c in (False, True) for i in (False, True)]
+        trace, result = runs[0]
+        assert len(trace) > 5000
+        assert all(t == trace for t, _ in runs[1:])
+        assert all(record_rows(r) == record_rows(result)
+                   for _, r in runs[1:])
+
     def test_columnar_enabled_by_default(self):
         result = run_swarm(protocol="tchain", seed=3, leechers=6,
                            pieces=5)
@@ -162,10 +177,53 @@ class TestChurnConsistency:
         assert result.swarm.sim.events_fired > 200
 
 
+def bit_loop(mask):
+    """Reference bit positions: the lowest-set-bit loop, one big-int
+    step per set bit."""
+    out = set()
+    while mask:
+        low = mask & -mask
+        out.add(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def random_mask(rng, width):
+    return rng.getrandbits(width) | 1 << (width - 1)
+
+
 class TestMaskHelpers:
     def test_roundtrip(self):
-        for pieces in (set(), {0}, {3, 5, 17}, set(range(64))):
+        for pieces in (set(), {0}, {3, 5, 17}, set(range(64)),
+                       {255, 256}, {7, 300, 511}, set(range(250, 520)),
+                       {0, 1023, 2047}):
             assert mask_to_set(set_to_mask(pieces)) == pieces
+
+    @pytest.mark.parametrize("width", [64, 512, 2048])
+    def test_mask_bits_ascending_and_equal_to_bit_loop(self, width):
+        rng = Random(width)
+        masks = [0, 1 << (width - 1)] + list(range(1, 300))
+        masks += [random_mask(rng, width) for _ in range(20)]
+        # Sparse masks leave most bytes zero.
+        masks += [set_to_mask(rng.sample(range(width), 3))
+                  for _ in range(20)]
+        for mask in masks:
+            bits = list(mask_bits(mask))
+            assert bits == sorted(bit_loop(mask))
+            assert all(a < b for a, b in zip(bits, bits[1:]))
+
+    def test_bootstrap_draw_matches_set_rule(self):
+        """Drawing from ``mask_bits`` of the three-way AND consumes the
+        rng exactly as ``select_bootstrap_piece`` over the sets."""
+        rng = Random(5)
+        for _ in range(50):
+            sets = [set(rng.sample(range(512), 300)) for _ in range(3)]
+            feasible = mask_bits(set_to_mask(sets[0])
+                                 & set_to_mask(sets[1])
+                                 & set_to_mask(sets[2]))
+            seed = rng.random()
+            assert Random(seed).choice(feasible) == \
+                select_bootstrap_piece(*sets, Random(seed))
 
     def test_popcount(self):
         for mask in (0, 1, 0b1011, (1 << 200) | 7):
@@ -217,6 +275,33 @@ class TestAdoption:
                 assert masked.is_expected(p) == plain.is_expected(p)
             other = set(rng.sample(range(12), 5))
             assert masked.needs_from(other) == plain.needs_from(other)
+
+    def test_out_of_range_pieces_match_plain_book(self):
+        """Pieces outside [0, n_pieces) are never held, wanted or
+        expected, and ``unexpect`` of one is a no-op — also on a
+        complete book, where it used to set a phantom wanted bit."""
+        events = []
+
+        class Listener:
+            def on_wanted_added(self, pid, piece):
+                events.append(("wanted_added", piece))
+
+        n = 8
+        for initial in (range(n), (1, 2)):
+            plain = self._book(n, initial)
+            masked = adopt_book(self._book(n, initial))
+            masked.set_listener(Listener(), "p1")
+            for piece in (n, n + 5, 64, -1, -9):
+                plain.unexpect(piece)
+                masked.unexpect(piece)
+                for book in (plain, masked):
+                    assert not book.has(piece)
+                    assert not book.wants(piece)
+                    assert not book.is_expected(piece)
+                assert masked.wanted() == plain.wanted()
+                assert masked._wanted_nonempty() == \
+                    plain._wanted_nonempty()
+            assert events == []
 
     def test_listener_event_order_preserved(self):
         """wanted_removed still fires before completed_added."""
