@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, TYPE_CHECKING
 
 from repro.bt.columnar import ColumnarBook, mask_bits
+from repro.bt.interest import wants_from
 from repro.bt.piece_selection import local_rarest_first, rarest_of
 from repro.bt.torrent import PieceBook
 from repro.net.bandwidth import Transfer, Uplink
@@ -119,15 +120,8 @@ class Peer:
         # has any of them (e.g. attackers eclipsed the peers that do).
         # A real client goes back to the tracker in that situation.
         if self.book._wanted_nonempty():
-            index = self.swarm.interest
             store = self.swarm.columnar
-            if index is not None:
-                rows = index._rows
-                starved = not any(
-                    self.id in rows.get(nid, ())
-                    for nid in self.swarm.topology.sorted_neighbors(
-                        self.id))
-            elif store is not None:
+            if store is not None:
                 # Mask scan over the adjacency column; equals the
                 # naive any() below piece for piece.
                 starved = not store.has_provider(self)
@@ -396,12 +390,6 @@ class Peer:
 
     def interested_neighbors(self) -> list:
         """Neighbors that want at least one of our completed pieces."""
-        index = self.swarm.interest
-        if index is not None:
-            row = index.row(self.id)
-            return [nid for nid in
-                    self.swarm.topology.sorted_neighbors(self.id)
-                    if nid in row]
         store = self.swarm.columnar
         if store is not None:
             # Same sorted-id walk and the same want∩completed
@@ -412,20 +400,8 @@ class Peer:
                 if p.book.needs_from(mine)]
 
     def is_interested_in(self, other: "Peer") -> bool:
-        """Do we want a piece the other peer has completed?
-
-        With the index on, both peers must be active (callers pass
-        live neighbors, matching the naive scans' active filter).
-        """
-        index = self.swarm.interest
-        if index is not None:
-            return self.id in index.row(other.id)
-        my_book, other_book = self.book, other.book
-        if self.swarm.columnar is not None \
-                and isinstance(my_book, ColumnarBook) \
-                and isinstance(other_book, ColumnarBook):
-            return bool(my_book._wmask & other_book._cmask)
-        return bool(my_book.needs_from(other_book.completed))
+        """Do we want a piece the other peer has completed?"""
+        return wants_from(self, other)
 
     def choose_piece_from(self, uploader: "Peer") -> Optional[int]:
         """Receiver-side LRF piece choice (Sec. II-A)."""

@@ -60,8 +60,8 @@ class BitTorrentLeecher(BaselineLeecher):
 
     # -- choking ---------------------------------------------------------
     def _interested_in_us(self):
-        # Same contract as Peer.interested_neighbors (which is
-        # index-accelerated); kept as a named hook for readability.
+        # Same contract as Peer.interested_neighbors; kept as a named
+        # hook for readability.
         return self.interested_neighbors()
 
     def _rechoke(self) -> None:

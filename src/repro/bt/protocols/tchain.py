@@ -264,40 +264,20 @@ class _TChainNode(Peer):
     # ------------------------------------------------------------------
     def _eligible_requestors(self) -> List[str]:
         """Neighbors we could start serving right now."""
-        index = self.swarm.interest
-        if index is not None:
-            # Every check is a set/dict lookup.  ``nid in row`` covers
-            # both "wants a piece of ours" and "active" (untracked
-            # peers have no row entries), matching the naive
-            # active-neighbor scan below.
-            row = index._rows.get(self.id)
-            if not row:
-                return []
-            # C-level set algebra beats a Python predicate loop here;
-            # the sorted result is identical to the neighbor walk.
-            eligible = row.keys() & self.swarm.topology.neighbors(self.id)
-            if self._in_flight_to:
-                eligible -= self._in_flight_to
-            if self._flow_blocked:
-                eligible -= self._flow_blocked
-            banned = self._banned_until
-            if banned:
-                now = self.sim.now
-                return sorted(nid for nid in eligible
-                              if now >= banned.get(nid, 0.0))
-            return sorted(eligible)
         store = self.swarm.columnar
         if store is not None and isinstance(self.book, ColumnarBook):
             # Same conjunction as the naive walk below, evaluated
-            # interest-first over the flat adjacency arrays: the
-            # predicates are pure filters, so reordering them cannot
-            # change the (sorted) result list.
-            result = [nid for nid in store.interested_ids(self)
-                      if not self.uploading_to(nid)
-                      and self.flow.eligible(nid)
-                      and self.cooperative(nid)]
-            result.sort()
-            return result
+            # interest-first over the flat adjacency arrays (already
+            # in sorted-id order), then through the in-flight,
+            # flow-blocked (the ``flow.eligible`` mirror) and backoff
+            # lookups: pure filters, so the list comes out equal.
+            in_flight = self._in_flight_to
+            blocked = self._flow_blocked
+            banned = self._banned_until
+            now = self.sim.now
+            return [nid for nid in store.interested_ids(self)
+                    if nid not in in_flight and nid not in blocked
+                    and (not banned or now >= banned.get(nid, 0.0))]
         mine = self.book.completed
         result = []
         for peer in self.neighbor_peers():
@@ -315,44 +295,29 @@ class _TChainNode(Peer):
                           offered: Set[int]) -> List[str]:
         """Our neighbors that need ≥1 of the requestor's pieces
         (including the piece about to be uploaded), Sec. II-B2."""
-        index = self.swarm.interest
         requestor_id = requestor.id
-        if index is not None:
-            row = index.row(requestor_id)
-            wanter_sets = [index.wanters(p) for p in offered]
-            banned = self._banned_until
-            now = self.sim.now
-            result = []
-            for nid in self.swarm.topology.sorted_neighbors(self.id):
-                if nid == requestor_id:
-                    continue
-                if banned and now < banned.get(nid, 0.0):
-                    continue
-                if nid in row or any(nid in s for s in wanter_sets):
-                    result.append(nid)
-            return result
         store = self.swarm.columnar
         requestor_book = requestor.book
         if (store is not None and isinstance(requestor_book, ColumnarBook)
                 and self.id in store.row_of):
             # ``wmask & (requestor.cmask | offered)`` ⟺ the
             # ``offers_interest`` predicate below, walked over the flat
-            # adjacency arrays (already in sorted-id order).
+            # adjacency arrays (already in sorted-id order).  The mask
+            # AND rejects most neighbors, so it runs first; liveness
+            # and the inline ``cooperative`` lookup only see the rest.
             row = store.row_of[self.id]
             offer_mask = requestor_book._cmask | set_to_mask(offered)
             books = store.books
             alive = store.alive
+            banned = self._banned_until
+            now = self.sim.now
             adj_rows = store.adj_rows[row]
             result = []
             for pos, nid in enumerate(store.adj_ids[row]):
-                if nid == requestor_id:
-                    continue
                 nrow = adj_rows[pos]
-                if not alive[nrow]:
-                    continue
-                if not self.cooperative(nid):
-                    continue
-                if books[nrow]._wmask & offer_mask:
+                if (books[nrow]._wmask & offer_mask and alive[nrow]
+                        and nid != requestor_id
+                        and (not banned or now >= banned.get(nid, 0.0))):
                     result.append(nid)
             return result
         result = []
@@ -361,7 +326,7 @@ class _TChainNode(Peer):
                 continue
             if not self.cooperative(peer.id):
                 continue
-            if offers_interest(self.swarm, requestor, offered, peer):
+            if offers_interest(requestor, offered, peer):
                 result.append(peer.id)
         return sorted(result)
 
@@ -417,7 +382,7 @@ class _TChainNode(Peer):
     def _decide_payee(self, requestor: Peer,
                       offered: Set[int]) -> PayeeDecision:
         config = self.swarm.config
-        direct_possible = wants_from(self.swarm, self, requestor)
+        direct_possible = wants_from(self, requestor)
         if not config.indirect_reciprocity:
             candidates: List[str] = []
         else:
@@ -712,32 +677,14 @@ class _TChainNode(Peer):
         swarm = self.swarm
         direct = (self.active and self.id not in exclude
                   and requestor is not None
-                  and offers_interest(swarm, requestor, extra, self))
+                  and offers_interest(requestor, extra, self))
         if direct:
             new_payee: Optional[str] = self.id
         elif requestor is None:
             new_payee = None
         else:
-            index = swarm.interest
             candidates = []
-            if index is not None:
-                row = index.row(requestor.id)
-                wanter_sets = [index.wanters(p) for p in extra]
-                blocked = self._flow_blocked
-                banned = self._banned_until
-                now = self.sim.now
-                for nid in swarm.topology.sorted_neighbors(self.id):
-                    if nid == tx.requestor_id or nid in exclude \
-                            or nid in blocked:
-                        continue
-                    if banned and now < banned.get(nid, 0.0):
-                        continue
-                    if nid in row or any(nid in s
-                                         for s in wanter_sets):
-                        candidates.append(nid)
-                new_payee = (self.sim.rng.choice(candidates)
-                             if candidates else None)
-            elif (swarm.columnar is not None
+            if (swarm.columnar is not None
                     and isinstance(requestor.book, ColumnarBook)
                     and self.id in swarm.columnar.row_of):
                 # Columnar arm: identical conjunction to the naive walk
@@ -774,7 +721,7 @@ class _TChainNode(Peer):
                         continue
                     if not self.cooperative(peer.id):
                         continue
-                    if offers_interest(swarm, requestor, extra, peer):
+                    if offers_interest(requestor, extra, peer):
                         candidates.append(peer.id)
                 new_payee = (self.sim.rng.choice(sorted(candidates))
                              if candidates else None)
@@ -863,23 +810,12 @@ class _TChainNode(Peer):
         requestor = self.swarm.find_peer(tx.requestor_id)
         if requestor is None or not requestor.active:
             return None
-        index = self.swarm.interest
-        if index is not None:
-            row = index.row(requestor.id)
-            piece_wanters = index.wanters(tx.piece_index)
-            ids = [nid for nid in
-                   self.swarm.topology.sorted_neighbors(self.id)
-                   if nid != tx.requestor_id
-                   and (nid in row or nid in piece_wanters)]
-            if not ids:
-                return None
-            return self.swarm.find_peer(self.sim.rng.choice(ids))
         extra = (tx.piece_index,)
         candidates = []
         for peer in self.neighbor_peers():
             if peer.id in (self.id, tx.requestor_id):
                 continue
-            if offers_interest(self.swarm, requestor, extra, peer):
+            if offers_interest(requestor, extra, peer):
                 candidates.append(peer)
         if not candidates:
             return None
@@ -1063,7 +999,7 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         # actually holds the history — known to us as uncooperative
         # (our own pending window on it is full).
         payee_stale = (payee is None or not payee.active
-                       or not offers_interest(self.swarm, self, extra,
+                       or not offers_interest(self, extra,
                                               payee)
                        or not self.flow.eligible(payee.id))
         if payee_stale:
@@ -1124,38 +1060,13 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
         only served when no direct candidate exists.  This is what
         keeps voluntary donations from being farmed by free-riders.
         """
-        candidates = self._eligible_requestors()
-        index = self.swarm.interest
         direct, fallback = [], []
-        if index is not None:
-            my_id = self.id
-            for candidate_id in candidates:
-                if my_id in index.row(candidate_id):
-                    direct.append(candidate_id)
-                else:
-                    fallback.append(candidate_id)
-        else:
-            my_book = self.book
-            use_masks = isinstance(my_book, ColumnarBook)
-            my_wanted = None if use_masks else my_book.wanted()
-            for candidate_id in candidates:
-                peer = self.swarm.find_peer(candidate_id)
-                if peer is None:
-                    fallback.append(candidate_id)
-                    continue
-                other_book = peer.book
-                if use_masks and isinstance(other_book, ColumnarBook):
-                    if my_book._wmask & other_book._cmask:
-                        direct.append(candidate_id)
-                    else:
-                        fallback.append(candidate_id)
-                    continue
-                if my_wanted is None:
-                    my_wanted = my_book.wanted()
-                if my_wanted & other_book.completed:
-                    direct.append(candidate_id)
-                else:
-                    fallback.append(candidate_id)
+        for candidate_id in self._eligible_requestors():
+            peer = self.swarm.find_peer(candidate_id)
+            if peer is not None and wants_from(self, peer):
+                direct.append(candidate_id)
+            else:
+                fallback.append(candidate_id)
         for pool in (direct, fallback):
             while pool:
                 requestor_id = self.sim.rng.choice(pool)

@@ -56,10 +56,11 @@ class Swarm:
         self.topology = Topology(config.max_neighbors,
                                  config.refill_threshold)
         self.topology.on_disconnect = self._notify_disconnect
-        #: Incremental interest index (see :mod:`repro.bt.interest`).
-        #: On by default; ``extra={"interest_index": False}`` selects
-        #: the naive-rescan reference paths (the trace-equality tests
-        #: and the bench equivalence leg run both).
+        #: Neighbor-local availability index (see
+        #: :mod:`repro.bt.interest`).  On by default;
+        #: ``extra={"interest_index": False}`` recounts LRF
+        #: availability per piece choice instead (the trace-equality
+        #: tests and the bench equivalence leg run both).
         self.interest: Optional[InterestIndex] = None
         if config.extra.get("interest_index", True):
             self.interest = InterestIndex(self)

@@ -22,7 +22,7 @@ SL009     stale ``# simlint: disable=...`` comment that no longer
           suppresses any finding (warning; see
           ``--strict-suppressions``)
 SL010     ad-hoc ``book.wanted() & ...`` interest intersection inside
-          ``bt/protocols/`` (bypasses the incremental interest index)
+          ``bt/protocols/`` (bypasses the interest helpers)
 SL011     ad-hoc checkpoint/manifest/state-file writes under
           ``experiments/`` outside the ``fabric/`` package (bypasses
           atomic, verified sweep persistence)
@@ -735,16 +735,16 @@ class AdHocParallelismRule(Rule):
 class AdHocInterestScanRule(Rule):
     """SL010: protocol code must not recompute interest by hand.
 
-    ``holder.completed & wanter.wanted()`` rescans are exactly what the
-    swarm-level interest index (:mod:`repro.bt.interest`) maintains
-    incrementally; a hand-rolled intersection inside ``bt/protocols/``
-    bypasses the index, costs O(pieces) per call on hot paths, and —
-    worse — silently diverges from the indexed predicates the rest of
-    the protocol uses when the index semantics evolve.  Route the check
-    through the index helpers (``wants_from`` / ``wants_any_of`` /
-    ``offers_interest`` / ``needed_overlap``) instead.  The rule flags
-    any ``&`` expression with a ``.wanted()`` call on either side in a
-    file under ``bt/protocols/``.
+    ``holder.completed & wanter.wanted()`` is the question the interest
+    helpers (:mod:`repro.bt.interest`) answer with one bitmask AND on
+    columnar books; a hand-rolled set intersection inside
+    ``bt/protocols/`` materializes both sets, costs O(pieces) per call
+    on hot paths, and — worse — silently diverges from the predicates
+    the rest of the protocol uses when their semantics evolve.  Route
+    the check through the interest helpers (``wants_from`` /
+    ``wants_any_of`` / ``offers_interest`` / ``needed_overlap``)
+    instead.  The rule flags any ``&`` expression with a ``.wanted()``
+    call on either side in a file under ``bt/protocols/``.
     """
 
     id = "SL010"
@@ -775,7 +775,7 @@ class AdHocInterestScanRule(Rule):
                 yield ctx.finding(
                     self, node,
                     "ad-hoc `.wanted() & ...` interest intersection in "
-                    "protocol code; use the interest-index helpers "
+                    "protocol code; use the interest helpers "
                     "(repro.bt.interest.wants_from / wants_any_of / "
                     "offers_interest / needed_overlap)")
 
@@ -876,7 +876,7 @@ class PerPeerObjectScanRule(Rule):
     and piece bitmasks.  At flash-crowd scale (100k peers) one such
     walk on a hot path dominates the whole event loop.  Route scans
     through ``swarm.columnar`` (``interested_ids`` / ``availability``
-    / ``live_neighbors`` / the adjacency rows) or the interest-index
+    / ``live_neighbors`` / the adjacency rows) or the interest
     helpers instead; consistency checkers and cold-path accessors that
     genuinely need the objects carry an explicit suppression with a
     justification.
@@ -886,7 +886,7 @@ class PerPeerObjectScanRule(Rule):
     name = "per-peer-object-scan"
     description = ("`... in peers.values()/items()` iteration inside "
                    "bt/; use the columnar swarm state "
-                   "(repro.bt.columnar) or interest-index helpers")
+                   "(repro.bt.columnar) or interest helpers")
 
     @staticmethod
     def _in_bt_package(path: str) -> bool:

@@ -320,10 +320,9 @@ CROWD_SIZES_QUICK = (1_000,)
 CROWD_TRACEMALLOC_MAX = 10_000
 
 #: The crowd scenario: a pure flash arrival of compliant T-Chain
-#: leechers on a small file.  The interest index is off (its per-join
-#: pair scan is O(N) and it is redundant with the columnar masks);
-#: the columnar backend is on — this leg exists to keep 100k peers on
-#: one host feasible and measured.
+#: leechers on a small file, in the default configuration (columnar
+#: backend and interest index on) — this leg exists to keep 100k peers
+#: on one host feasible and measured.
 CROWD_SPEC = dict(protocol="tchain", seed=7, pieces=4,
                   piece_size_kb=64.0, freerider_fraction=0.0,
                   arrival="flash")
@@ -332,7 +331,7 @@ CROWD_SPEC = dict(protocol="tchain", seed=7, pieces=4,
 def bench_tchain_crowd(quick: bool = False,
                        sizes: Optional[tuple] = None
                        ) -> List[Dict[str, object]]:
-    """Scale leg: T-Chain flash crowds over the columnar backend.
+    """Scale leg: T-Chain flash crowds in the default configuration.
 
     Each size runs once (a 100k-peer swarm is its own repetition),
     must complete — every leecher finishes the file — and reports
@@ -355,10 +354,7 @@ def bench_tchain_crowd(quick: bool = False,
         rss_before_kb = resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss
         start = time.perf_counter()  # simlint: disable=SL002 -- benchmark measures real wall-time by design
-        result = run_swarm(leechers=leechers,
-                           extra={"columnar": True,
-                                  "interest_index": False},
-                           **CROWD_SPEC)
+        result = run_swarm(leechers=leechers, **CROWD_SPEC)
         wall = time.perf_counter() - start  # simlint: disable=SL002 -- see above
         if traced:
             _, peak_bytes = tracemalloc.get_traced_memory()
@@ -417,9 +413,8 @@ def bench_alloc_audit(quick: bool = False,
         sizes = ALLOC_AUDIT_SIZES_QUICK if quick else ALLOC_AUDIT_SIZES
 
     def profiled(leechers: int, pooled: bool) -> Dict[str, object]:
-        extra = {"columnar": True, "interest_index": False}
-        if not pooled:
-            extra.update(pool_events=False, pool_messages=False)
+        extra = {} if pooled else {"pool_events": False,
+                                   "pool_messages": False}
         start = time.perf_counter()  # simlint: disable=SL002 -- benchmark measures real wall-time by design
         result = run_swarm(leechers=leechers, extra=extra,
                            profile="alloc", **CROWD_SPEC)

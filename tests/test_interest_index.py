@@ -8,14 +8,25 @@ Two contracts are under test (``repro.bt.interest``):
   run with the naive rescans.
 * **Consistency under churn** — after *every* fired event in a
   scenario full of joins, completion-leaves, whitewash rebrands,
-  crashes and flow-window churn, every index map must equal a
-  from-scratch naive rescan (``InterestIndex.check_consistency``),
-  and each T-Chain node's ``_flow_blocked`` mirror must equal the
-  flow controller's actual over-window set.
+  crashes and flow-window churn, the tracked set and the availability
+  counts must equal a from-scratch naive rescan
+  (``InterestIndex.check_consistency``), and each T-Chain node's
+  ``_flow_blocked`` mirror must equal the flow controller's actual
+  over-window set.
+
+A third suite pins the interest predicates themselves: on seeded
+random books, in every columnar x index combination, each one equals
+the plain set intersection it stands for.
 """
+
+from random import Random
 
 import pytest
 
+from repro.bt.config import SwarmConfig
+from repro.bt.interest import offers_interest, wants_from
+from repro.bt.protocols.tchain import TChainLeecher
+from repro.bt.swarm import Swarm
 from repro.experiments import run_swarm
 
 
@@ -137,3 +148,95 @@ class TestSanitizedChaosRun:
                            **TCHAIN_SCENARIO)
         assert result.swarm.interest is not None
         assert result.swarm.sim.events_fired > 200
+
+
+# ----------------------------------------------------------------------
+# Interest predicates == naive set intersections
+# ----------------------------------------------------------------------
+BACKENDS = [(columnar, index) for columnar in (True, False)
+            for index in (True, False)]
+
+
+def random_swarm(n_pieces, columnar, index, seed, n_peers=14):
+    """A joined T-Chain swarm (no event run) with seeded random books,
+    a sparse topology, one deactivated-but-still-adjacent peer, and
+    some in-flight, flow-blocked and backed-off neighbors."""
+    rng = Random(seed)
+    swarm = Swarm(SwarmConfig(
+        n_pieces=n_pieces, seed=seed, max_neighbors=5,
+        refill_threshold=2, tracker_list_size=4,
+        extra={"columnar": columnar, "interest_index": index}))
+    peers = []
+    for i in range(n_peers):
+        # Zero capacity: pump never plans, so the books stay as set.
+        peer = TChainLeecher(swarm, f"L{i:02d}", capacity_kbps=0.0)
+        peer.join()
+        peers.append(peer)
+    for peer in peers:
+        density = rng.choice((0.0, 0.1, 0.5, 0.95))
+        for piece in range(n_pieces):
+            roll = rng.random()
+            if roll < density:
+                peer.book.add_completed(piece)
+            elif roll < density + 0.05:
+                peer.book.expect(piece)
+    for peer in peers:
+        for nid in sorted(peer.neighbors()):
+            roll = rng.random()
+            if roll < 0.15:
+                peer._in_flight_to.add(nid)
+            elif roll < 0.3:
+                for _ in range(peer.flow.pending_limit):
+                    peer.flow.on_piece_sent(nid)
+            elif roll < 0.45:
+                peer._banned_until[nid] = swarm.sim.now + 1.0
+    # Deactivated mid-departure: still in the topology, no longer live.
+    gone = peers[-1]
+    gone.active = False
+    swarm.note_deactivated(gone)
+    return swarm, peers, rng
+
+
+def naive_wants(wanter, pieces):
+    return bool(set(wanter.book.wanted()) & set(pieces))
+
+
+@pytest.mark.parametrize("n_pieces", [4, 64, 512])
+@pytest.mark.parametrize("columnar,index", BACKENDS)
+def test_predicates_equal_set_intersections(n_pieces, columnar, index):
+    for seed in (1, 2, 3):
+        swarm, peers, rng = random_swarm(n_pieces, columnar, index, seed)
+        live = [p for p in peers if p.active]
+        for me in live:
+            mine = set(me.book.completed)
+            neighbors = [swarm.peers[nid]
+                         for nid in swarm.topology.sorted_neighbors(me.id)]
+            live_neighbors = [p for p in neighbors if p.active]
+            for other in peers:
+                theirs = set(other.book.completed)
+                assert wants_from(me, other) == naive_wants(me, theirs)
+                assert me.is_interested_in(other) \
+                    == naive_wants(me, theirs)
+                assert offers_interest(other, (), me) \
+                    == naive_wants(me, theirs)
+                extra = (rng.randrange(n_pieces),)
+                assert offers_interest(other, extra, me) \
+                    == naive_wants(me, theirs | set(extra))
+            assert me.interested_neighbors() == [
+                p.id for p in live_neighbors if naive_wants(p, mine)]
+            ids = [p.id for p in neighbors]
+            assert me.serveable(ids) == sorted(
+                p.id for p in live_neighbors
+                if p.id not in me._in_flight_to and naive_wants(p, mine))
+            assert me._eligible_requestors() == sorted(
+                p.id for p in live_neighbors
+                if p.id not in me._in_flight_to
+                and me.flow.eligible(p.id) and me.cooperative(p.id)
+                and naive_wants(p, mine))
+            for requestor in live_neighbors:
+                offered = {rng.randrange(n_pieces)}
+                offer = set(requestor.book.completed) | offered
+                assert me._payee_candidates(requestor, offered) == sorted(
+                    p.id for p in live_neighbors
+                    if p is not requestor and me.cooperative(p.id)
+                    and naive_wants(p, offer))
