@@ -4,21 +4,29 @@ The object model keeps per-peer piece state in four Python ``set``
 objects per :class:`~repro.bt.torrent.PieceBook` and answers every
 serving question by walking peer object graphs.  At 10^5 peers the
 sets dominate memory and the per-neighbor set intersections dominate
-time.  This module provides the flat backend of ROADMAP item 1:
+time.  This module provides the flat backend:
 
 * :class:`ColumnarBook` — a drop-in ``PieceBook`` replacement that
   stores *completed*/*expected*/*wanted* as integer bitmasks (one bit
   per piece).  Predicates like ``needs_from`` become single ``&``
-  operations; the listener contract (``on_wanted_removed`` **before**
-  ``on_completed_added``) and every event order are preserved exactly,
-  so the interest index and the sanitizer cannot tell the difference.
+  operations.
 * :class:`ColumnarState` — a per-swarm table mapping peer ids to dense
   row indexes with flat columns (peer object, book, liveness, sorted
   neighbor adjacency) that the protocol scans operate on wholesale
   instead of re-deriving neighbor lists from dicts of objects.
+* **Holder columns** — ``ColumnarState.holders[p]`` is an int bitmask
+  over rows whose book has completed piece ``p``: the
+  Local-Rarest-First input (Sec. II-A).  The copies of ``p`` among a
+  chooser's live neighbors are ``popcount(holders[p] & nb)``, with
+  ``nb`` the chooser's live-neighbor row mask built at query time from
+  ``adj_rows`` and ``alive``.  A completion sets one bit per row that
+  holds the book (no neighbor walk); edge changes and deactivations
+  need no availability work, since adjacency and liveness are read at
+  query time; a row's bits are set at :meth:`ColumnarState.adopt` from
+  the book's mask and cleared at :meth:`ColumnarState.release`, so a
+  recycled row starts clean.
 
-Trace neutrality is the hard contract (the same one the interest index
-satisfies, see :mod:`repro.bt.interest`): every fast path iterates
+Trace neutrality is the hard contract: every fast path iterates
 neighbors in the ``topology.sorted_neighbors()`` order, applies
 predicates whose truth values provably equal the naive ones, and feeds
 identical candidate lists to identical rng draws.  ``ColumnarBook``'s
@@ -33,7 +41,9 @@ Adoption happens in :meth:`repro.bt.swarm.Swarm.register` by mutating
 books are replaced after construction (``runner`` pre-seeds partial
 books) and even *shared* between peers (the Sybil group pools one
 book), so preserving object identity is what keeps every outstanding
-reference — and the single-listener slot — coherent.
+reference coherent.  A shared book records every row that holds it
+(``_rows``), so one completion reaches the holder columns of every
+Sybil identity at once.
 """
 
 from __future__ import annotations
@@ -93,10 +103,14 @@ class ColumnarBook(PieceBook):
     """A ``PieceBook`` whose state is three bitmasks.
 
     Invariants mirror the set model exactly: ``missing = ~completed``,
-    ``wanted = missing & ~expected``; ``add_completed`` fires
-    ``on_wanted_removed`` before ``on_completed_added``.  Instances
-    are normally produced by :func:`adopt_book`, which transmutes an
-    existing ``PieceBook`` in place.
+    ``wanted = missing & ~expected``.  ``_rows`` are the
+    :class:`ColumnarState` rows holding this book (several for a shared
+    Sybil book, none while detached; row numbers, not a row bitmask, so
+    a book costs O(1) memory however many rows the state has) and
+    ``_holders`` is that state's holder-column list, which
+    :meth:`add_completed` updates.
+    Instances are normally produced by :func:`adopt_book`, which
+    transmutes an existing ``PieceBook`` in place.
     """
 
     def __init__(self, torrent, initial_pieces=()):
@@ -105,8 +119,8 @@ class ColumnarBook(PieceBook):
         self._emask = 0
         self._wmask = (1 << torrent.n_pieces) - 1
         self._ccount = 0
-        self._listener = None
-        self._listener_owner = None
+        self._rows: List[int] = []
+        self._holders: Optional[List[int]] = None
         for piece in initial_pieces:
             self.add_completed(piece)
 
@@ -124,15 +138,10 @@ class ColumnarBook(PieceBook):
             return False
         self._cmask |= bit
         self._ccount += 1
-        listener = self._listener
-        if self._wmask & bit:
-            self._wmask &= ~bit
-            # Same event order as PieceBook: wanted_removed first, so
-            # the index never sees this peer want its own new piece.
-            if listener is not None:
-                listener.on_wanted_removed(self._listener_owner, piece)
-        if listener is not None:
-            listener.on_completed_added(self._listener_owner, piece)
+        self._wmask &= ~bit
+        holders = self._holders
+        for row in self._rows:
+            holders[piece] |= 1 << row
         return True
 
     def has(self, piece: int) -> bool:
@@ -154,25 +163,18 @@ class ColumnarBook(PieceBook):
         bit = 1 << piece
         if not self._cmask & bit:
             self._emask |= bit
-            if self._wmask & bit:
-                self._wmask &= ~bit
-                if self._listener is not None:
-                    self._listener.on_wanted_removed(
-                        self._listener_owner, piece)
+            self._wmask &= ~bit
 
     def unexpect(self, piece: int) -> None:
         # Out of range is a no-op, as in PieceBook (where such a piece
-        # is never missing); a phantom wanted bit would reach the
-        # index as a want for a piece that does not exist.
+        # is never missing): no phantom wanted bit for a piece that
+        # does not exist.
         if not 0 <= piece < self.torrent.n_pieces:
             return
         bit = 1 << piece
         self._emask &= ~bit
-        if not self._cmask & bit and not self._wmask & bit:
+        if not self._cmask & bit:
             self._wmask |= bit
-            if self._listener is not None:
-                self._listener.on_wanted_added(
-                    self._listener_owner, piece)
 
     def is_expected(self, piece: int) -> bool:
         return piece >= 0 and bool(self._emask >> piece & 1)
@@ -221,6 +223,8 @@ def adopt_book(book: PieceBook) -> ColumnarBook:
     book._emask = emask
     book._wmask = wmask
     book._ccount = ccount
+    book._rows = []
+    book._holders = None
     return book
 
 
@@ -234,7 +238,9 @@ class ColumnarState:
     filter at every scan instant.  Adjacency is kept as two parallel
     per-row lists — neighbor ids sorted lexicographically and their
     row indexes — matching ``topology.sorted_neighbors()`` order
-    element for element.
+    element for element.  ``holders[p]`` is the row bitmask of books
+    holding piece ``p`` (dead rows included; liveness is applied at
+    query time).
     """
 
     def __init__(self, swarm: "Swarm"):
@@ -248,6 +254,7 @@ class ColumnarState:
         self.alive: List[bool] = []
         self.adj_ids: List[List[str]] = []
         self.adj_rows: List[List[int]] = []
+        self.holders: List[int] = [0] * self.n_pieces
         self._free: List[int] = []
 
     def __len__(self) -> int:
@@ -258,9 +265,9 @@ class ColumnarState:
     # deregister / rebrand)
     # ------------------------------------------------------------------
     def adopt(self, peer: "Peer") -> int:
-        """Allocate a row for a registering peer and columnarize its
+        """Allocate a row for a registering peer, columnarize its
         book (idempotent on the book: a shared or rejoining book is
-        transmuted once and reused)."""
+        transmuted once and reused) and set the row's holder bits."""
         pid = peer.id
         row = self.row_of.get(pid)
         if row is not None:
@@ -281,6 +288,11 @@ class ColumnarState:
             self.adj_ids.append([])
             self.adj_rows.append([])
         self.row_of[pid] = row
+        bit = 1 << row
+        book._rows.append(row)
+        book._holders = holders = self.holders
+        for piece in mask_bits(book._cmask):
+            holders[piece] |= bit
         return row
 
     def on_deactivated(self, peer: "Peer") -> None:
@@ -297,6 +309,12 @@ class ColumnarState:
         row = self.row_of.pop(peer_id, None)
         if row is None:
             return
+        book = self.books[row]
+        book._rows.remove(row)
+        clear = ~(1 << row)
+        holders = self.holders
+        for piece in mask_bits(book._cmask):
+            holders[piece] &= clear
         self.ids[row] = None
         self.objs[row] = None
         self.books[row] = None
@@ -306,7 +324,7 @@ class ColumnarState:
         self._free.append(row)
 
     # ------------------------------------------------------------------
-    # Topology events (fanned out by Swarm._on_edge_added/_removed)
+    # Topology events (Topology.on_edge_added/_removed, hooked by Swarm)
     # ------------------------------------------------------------------
     def on_edge_added(self, a: str, b: str) -> None:
         row_a = self.row_of.get(a)
@@ -377,29 +395,30 @@ class ColumnarState:
                 if alive[nrow := adj_rows[pos]]
                 and books[nrow]._wmask & cmask]
 
+    def live_neighbor_mask(self, peer: "Peer") -> int:
+        """Row bitmask of ``peer``'s live neighbors (0 without a
+        row): the ``nb`` that holder columns are ANDed with."""
+        row = self.row_of.get(peer.id)
+        if row is None:
+            return 0
+        alive = self.alive
+        nb = 0
+        for nrow in self.adj_rows[row]:
+            if alive[nrow]:
+                nb |= 1 << nrow
+        return nb
+
     def availability(self, peer: "Peer", cand_mask: int
                      ) -> Dict[int, int]:
         """``{piece: copies among live neighbors}`` for the candidate
-        pieces, keyed in ascending piece order.
-
-        Feeding the result through
-        :func:`repro.bt.piece_selection.rarest_of` reproduces the
-        naive ``local_rarest_first`` choice bit for bit: the counts
-        equal the naive availability and the tie-break (sorted pool,
-        one ``rng.choice``) is shared code.
-        """
-        counts: Dict[int, int] = dict.fromkeys(mask_bits(cand_mask), 0)
-        row = self.row_of.get(peer.id)
-        if row is None:
-            return counts
-        books = self.books
-        alive = self.alive
-        for nrow in self.adj_rows[row]:
-            if not alive[nrow]:
-                continue
-            for piece in mask_bits(books[nrow]._cmask & cand_mask):
-                counts[piece] += 1
-        return counts
+        pieces, keyed in ascending piece order, read from the holder
+        columns.  Equals the naive
+        :func:`repro.bt.piece_selection.availability` over
+        ``peer.neighbor_peers()``."""
+        nb = self.live_neighbor_mask(peer)
+        holders = self.holders
+        return {piece: _popcount(holders[piece] & nb)
+                for piece in mask_bits(cand_mask)}
 
     def live_neighbors(self, peer: "Peer"):
         """Live neighbor ``Peer`` objects in sorted-id order (equals
@@ -416,8 +435,8 @@ class ColumnarState:
     # Self-check (the churn property test runs this after every event)
     # ------------------------------------------------------------------
     def check_consistency(self) -> None:
-        """Assert rows, liveness, adjacency and masks all equal a
-        from-scratch rebuild from the object model."""
+        """Assert rows, liveness, adjacency, masks and holder columns
+        all equal a from-scratch rebuild from the object model."""
         swarm = self.swarm
         assert set(self.row_of) == set(swarm.peers), (
             f"rows {sorted(self.row_of)} != peers "
@@ -447,3 +466,18 @@ class ColumnarState:
                 == self.adj_ids[row], f"adj rows of {pid} diverged"
         live_rows = len(self.row_of)
         assert live_rows + len(self._free) == len(self.ids)
+        holders = [0] * self.n_pieces
+        rows_of: Dict[ColumnarBook, List[int]] = {}
+        for row in self.row_of.values():
+            book = self.books[row]
+            rows_of.setdefault(book, []).append(row)
+            for piece in mask_bits(book._cmask):
+                holders[piece] |= 1 << row
+        for piece, (got, want) in enumerate(zip(self.holders, holders)):
+            assert got == want, (
+                f"holders[{piece}] {got:#x} != rebuild {want:#x}")
+        for row in self.row_of.values():
+            book = self.books[row]
+            assert sorted(book._rows) == sorted(rows_of[book]), (
+                f"rows of {self.ids[row]}'s book diverged")
+            assert book._holders is self.holders

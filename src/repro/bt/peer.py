@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, TYPE_CHECKING
 
-from repro.bt.columnar import ColumnarBook, mask_bits
+from repro.bt.columnar import ColumnarBook, _popcount, mask_bits
 from repro.bt.interest import wants_from
-from repro.bt.piece_selection import local_rarest_first, rarest_of
+from repro.bt.piece_selection import local_rarest_first
 from repro.bt.torrent import PieceBook
 from repro.net.bandwidth import Transfer, Uplink
 
@@ -405,43 +405,36 @@ class Peer:
 
     def choose_piece_from(self, uploader: "Peer") -> Optional[int]:
         """Receiver-side LRF piece choice (Sec. II-A)."""
-        index = self.swarm.interest
         my_book, up_book = self.book, uploader.book
-        if isinstance(my_book, ColumnarBook) \
-                and isinstance(up_book, ColumnarBook):
-            cand_mask = my_book._wmask & up_book._cmask
-            if not cand_mask:
-                return None
-            if index is None:
-                # Counts equal the naive availability over the same live
-                # neighbors; rarest_of is the shared tie-break.
-                return rarest_of(
-                    self.swarm.columnar.availability(self, cand_mask),
-                    self.sim.rng)
-            candidates = mask_bits(cand_mask)
-        else:
+        if not (isinstance(my_book, ColumnarBook)
+                and isinstance(up_book, ColumnarBook)):
             candidates = my_book.needs_from(up_book.completed)
             if not candidates:
                 return None
-        if index is not None:
-            # Fused single-pass rarest_of over the availability row:
-            # same min + sorted-tie-pool + rng.choice as rarest_of.
-            # Ascending mask_bits candidates build the pool already
-            # sorted; set candidates need the sort.
-            get = index.avail(self.id).get
-            best = None
-            pool: List[int] = []
-            for piece in candidates:
-                copies = get(piece, 0)
-                if best is None or copies < best:
-                    best = copies
-                    pool = [piece]
-                elif copies == best:
-                    pool.append(piece)
-            pool.sort()
-            return self.sim.rng.choice(pool)
-        books = [p.book.completed for p in self.neighbor_peers()]
-        return local_rarest_first(candidates, books, self.sim.rng)
+            books = [p.book.completed for p in self.neighbor_peers()]
+            return local_rarest_first(candidates, books, self.sim.rng)
+        cand_mask = my_book._wmask & up_book._cmask
+        if not cand_mask:
+            return None
+        if not cand_mask & (cand_mask - 1):
+            # One candidate needs no counts, but keeps its rng draw.
+            return self.sim.rng.choice((cand_mask.bit_length() - 1,))
+        # Copies among live neighbors from the holder columns, then
+        # local_rarest_first's min + sorted tie pool + one rng.choice:
+        # ascending mask_bits candidates build the pool already sorted.
+        store = self.swarm.columnar
+        holders = store.holders
+        nb = store.live_neighbor_mask(self)
+        best = -1
+        pool: List[int] = []
+        for piece in mask_bits(cand_mask):
+            copies = _popcount(holders[piece] & nb)
+            if copies < best or best < 0:
+                best = copies
+                pool = [piece]
+            elif copies == best:
+                pool.append(piece)
+        return self.sim.rng.choice(pool)
 
     # ------------------------------------------------------------------
     # Protocol hooks (subclasses override)

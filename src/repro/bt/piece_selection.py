@@ -25,32 +25,23 @@ def availability(pieces: Iterable[int],
     return counts
 
 
-def rarest_of(counts: Dict[int, int], rng: Random) -> Optional[int]:
-    """LRF choice over precomputed ``{piece: copies}`` counts.
-
-    The shared tail of :func:`local_rarest_first`, split out so the
-    interest index can feed its incrementally-maintained availability
-    counts through the exact same tie-break (sorted pool, one
-    ``rng.choice``) and stay trace-identical with the naive scan.
-    """
-    if not counts:
-        return None
-    rarest = min(counts.values())
-    pool = sorted(p for p, c in counts.items() if c == rarest)
-    return rng.choice(pool)
-
-
 def local_rarest_first(candidates: Set[int],
                        neighbor_books: Iterable[AbstractSet[int]],
                        rng: Random) -> Optional[int]:
     """LRF choice among ``candidates``; ties broken uniformly.
 
     ``neighbor_books`` are the *chooser's* neighbors' completed piece
-    sets — rarity is local, as in BitTorrent.
+    sets — rarity is local, as in BitTorrent.  The tie-break (sorted
+    pool of the minimum-count pieces, one ``rng.choice``) is the
+    contract ``Peer.choose_piece_from``'s holder-column loop
+    reproduces bit for bit.
     """
     if not candidates:
         return None
-    return rarest_of(availability(candidates, neighbor_books), rng)
+    counts = availability(candidates, neighbor_books)
+    rarest = min(counts.values())
+    pool = sorted(p for p, c in counts.items() if c == rarest)
+    return rng.choice(pool)
 
 
 def random_piece(candidates: Set[int], rng: Random) -> Optional[int]:

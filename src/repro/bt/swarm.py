@@ -56,24 +56,25 @@ class Swarm:
         self.topology = Topology(config.max_neighbors,
                                  config.refill_threshold)
         self.topology.on_disconnect = self._notify_disconnect
-        #: Neighbor-local availability index (see
+        #: Registry of active registered peers (see
         #: :mod:`repro.bt.interest`).  On by default;
-        #: ``extra={"interest_index": False}`` recounts LRF
-        #: availability per piece choice instead (the trace-equality
-        #: tests and the bench equivalence leg run both).
+        #: ``extra={"interest_index": False}`` makes T-Chain's
+        #: bootstrap and payee-repair scans walk ``neighbor_peers()``
+        #: instead (the trace-equality tests run both).
         self.interest: Optional[InterestIndex] = None
         if config.extra.get("interest_index", True):
             self.interest = InterestIndex(self)
-        #: Columnar rows + bitmask books (see :mod:`repro.bt.columnar`).
-        #: On by default; ``extra={"columnar": False}`` keeps the
-        #: per-peer set-backed ``PieceBook`` objects (the trace-equality
-        #: tests and the crowd bench equivalence leg run both).
+        #: Columnar rows, bitmask books and LRF holder columns (see
+        #: :mod:`repro.bt.columnar`).  On by default;
+        #: ``extra={"columnar": False}`` keeps the per-peer set-backed
+        #: ``PieceBook`` objects and the naive LRF recount (the
+        #: trace-equality tests and the crowd bench equivalence leg run
+        #: both).
         self.columnar: Optional[ColumnarState] = None
         if config.extra.get("columnar", True):
             self.columnar = ColumnarState(self)
-        if self.interest is not None or self.columnar is not None:
-            self.topology.on_edge_added = self._on_edge_added
-            self.topology.on_edge_removed = self._on_edge_removed
+            self.topology.on_edge_added = self.columnar.on_edge_added
+            self.topology.on_edge_removed = self.columnar.on_edge_removed
         #: SL203-gated timer coalescing (opt-in, docs/PERF.md): the
         #: gate refuses every handler in the baseline's do-not-coalesce
         #: inventory; a missing baseline refuses everything.
@@ -130,8 +131,6 @@ class Swarm:
             raise ValueError(f"duplicate peer id {peer.id!r}")
         self.peers[peer.id] = peer
         if self.columnar is not None:
-            # Before the interest index sees the peer: the listener it
-            # installs must land on the columnarized book.
             self.columnar.adopt(peer)
         self.topology.add_peer(peer.id,
                                unlimited=peer.unlimited_neighbors)
@@ -148,9 +147,9 @@ class Swarm:
         """A peer flipped ``active = False`` (leave/crash/whitewash).
 
         Fired *immediately* after deactivation, before transfer
-        cancellations pump other peers, so the interest index drops
-        the peer in the same instant ``neighbor_peers()`` stops
-        returning it.
+        cancellations pump other peers, so the columnar liveness column
+        and the tracked set drop the peer in the same instant
+        ``neighbor_peers()`` stops returning it.
         """
         if self.columnar is not None:
             self.columnar.on_deactivated(peer)
@@ -205,24 +204,6 @@ class Swarm:
         if peer is not None:
             peer.on_neighbor_disconnected(departed)
 
-    def _on_edge_added(self, a: str, b: str) -> None:
-        """Fan one topology edge event out to every flat view.
-
-        Columnar first (pure adjacency bookkeeping), then the interest
-        index (which reads books but never the adjacency columns) —
-        neither depends on the other's update.
-        """
-        if self.columnar is not None:
-            self.columnar.on_edge_added(a, b)
-        if self.interest is not None:
-            self.interest.on_edge_added(a, b)
-
-    def _on_edge_removed(self, a: str, b: str) -> None:
-        if self.columnar is not None:
-            self.columnar.on_edge_removed(a, b)
-        if self.interest is not None:
-            self.interest.on_edge_removed(a, b)
-
     # ------------------------------------------------------------------
     # Timer coalescing
     # ------------------------------------------------------------------
@@ -273,8 +254,6 @@ class Swarm:
             self.columnar.adopt(peer)
         self.topology.add_peer(new_id, unlimited=peer.unlimited_neighbors)
         if self.interest is not None:
-            # Re-snapshots the live book, absorbing mutations made
-            # while the peer was untracked mid-whitewash.
             self.interest.add_peer(peer)
         members = self.tracker.announce(new_id)
         self.tracker.join(new_id)

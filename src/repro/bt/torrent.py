@@ -12,7 +12,7 @@ protocols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Set
+from typing import FrozenSet, Iterable, Set
 
 
 @dataclass(frozen=True)
@@ -61,21 +61,8 @@ class PieceBook:
         # on every upload decision and must not rebuild them.
         self._missing: Set[int] = set(range(torrent.n_pieces))
         self._wanted: Set[int] = set(range(torrent.n_pieces))
-        # Interest-index listener (see repro.bt.interest): the swarm
-        # index registers here to hear wanted/completed transitions.
-        self._listener = None
-        self._listener_owner: Optional[str] = None
         for piece in initial_pieces:
             self.add_completed(piece)
-
-    def set_listener(self, listener, owner_id: Optional[str]) -> None:
-        """Attach (or detach, with ``None``) the interest index.
-
-        ``owner_id`` is the peer id events are reported under; a
-        rebrand re-attaches under the new identity.
-        """
-        self._listener = listener
-        self._listener_owner = owner_id
 
     # -- completed ------------------------------------------------------
     @property
@@ -91,15 +78,7 @@ class PieceBook:
             return False
         self._completed.add(piece)
         self._missing.discard(piece)
-        listener = self._listener
-        if piece in self._wanted:
-            self._wanted.discard(piece)
-            # wanted_removed fires before completed_added so the index
-            # never sees this peer as a wanter of its own new piece.
-            if listener is not None:
-                listener.on_wanted_removed(self._listener_owner, piece)
-        if listener is not None:
-            listener.on_completed_added(self._listener_owner, piece)
+        self._wanted.discard(piece)
         return True
 
     def has(self, piece: int) -> bool:
@@ -122,20 +101,13 @@ class PieceBook:
         self._check(piece)
         if piece not in self._completed:
             self._expected.add(piece)
-            if piece in self._wanted:
-                self._wanted.discard(piece)
-                if self._listener is not None:
-                    self._listener.on_wanted_removed(
-                        self._listener_owner, piece)
+            self._wanted.discard(piece)
 
     def unexpect(self, piece: int) -> None:
         """A pending piece fell through (departure, abort)."""
         self._expected.discard(piece)
-        if piece in self._missing and piece not in self._wanted:
+        if piece in self._missing:
             self._wanted.add(piece)
-            if self._listener is not None:
-                self._listener.on_wanted_added(
-                    self._listener_owner, piece)
 
     def is_expected(self, piece: int) -> bool:
         """True if the piece is in flight or pending a key."""

@@ -16,10 +16,11 @@ changes land with numbers instead of adjectives:
   asserting the two result lists compare equal (the bit-identical
   guarantee, checked on every bench run, not just in tests).
 * **index_equivalence** — one T-Chain churn run executed twice, with
-  the incremental interest index enabled and disabled, asserting the
-  full event traces compare bit-identical (the trace-neutrality
-  guarantee of :mod:`repro.bt.interest`, checked on every bench run —
-  including the ``--quick`` CI smoke — not just in tests).
+  the interest index (tracked-peer registry) enabled and disabled,
+  asserting the full event traces compare bit-identical (the
+  trace-neutrality guarantee of :mod:`repro.bt.interest`, checked on
+  every bench run — including the ``--quick`` CI smoke — not just in
+  tests).
 * **sweep_fabric** — the same sweep through plain ``run_specs`` and
   through the fault-tolerant fabric
   (:mod:`repro.experiments.fabric`), pinning the fabric's overhead
@@ -493,7 +494,7 @@ def bench_index_equivalence() -> Dict[str, object]:
     """Trace-neutrality leg: index on vs off, bit-identical or raise.
 
     Runs the same T-Chain churn scenario twice — once with the
-    incremental interest index, once with the naive rescans — and
+    interest index, once with the naive rescans — and
     compares the full event trace ``(time, seq, callback)`` tuples.
     Any divergence is an index-invalidation bug, so it fails the whole
     bench run rather than merely reporting a number.

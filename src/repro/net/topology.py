@@ -40,11 +40,12 @@ class Topology:
         # selection, rarest-first counting all read per event).
         self._sorted_cache: Dict[str, List[str]] = {}
         self.on_disconnect: Optional[Callable[[str, str], None]] = None
-        # Edge-change notifications for the interest index.  Unlike
+        # Edge-change notifications for the columnar adjacency.  Unlike
         # on_disconnect (a protocol-facing hook fired only from
         # remove_peer), these fire on *every* edge mutation, and
-        # on_edge_removed fires *before* on_disconnect so the index is
-        # consistent when disconnect handlers re-enter (refills, pumps).
+        # on_edge_removed fires *before* on_disconnect so the columns
+        # are consistent when disconnect handlers re-enter (refills,
+        # pumps).
         self.on_edge_added: Optional[Callable[[str, str], None]] = None
         self.on_edge_removed: Optional[Callable[[str, str], None]] = None
 
@@ -113,7 +114,7 @@ class Topology:
         # An edge counts as existing if *either* side records it:
         # asymmetric state (a half-removed edge, a peer mid-departure)
         # must still produce exactly one on_edge_removed so the
-        # interest index and route caches don't drift.
+        # columnar adjacency and route caches don't drift.
         existed = (b in self._adj.get(a, ())
                    or a in self._adj.get(b, ()))
         if a in self._adj:

@@ -28,6 +28,11 @@ from repro.bt.columnar import (
     set_to_mask,
     _popcount,
 )
+from repro.attacks.freerider import FreeRiderOptions
+from repro.bt.config import SwarmConfig
+from repro.bt.piece_selection import availability, local_rarest_first
+from repro.bt.protocols.tchain import TChainLeecher
+from repro.bt.swarm import Swarm
 from repro.bt.torrent import PieceBook, Torrent
 from repro.bt.tracker import Tracker
 from repro.core.bootstrap import select_bootstrap_piece
@@ -280,17 +285,10 @@ class TestAdoption:
         """Pieces outside [0, n_pieces) are never held, wanted or
         expected, and ``unexpect`` of one is a no-op — also on a
         complete book, where it used to set a phantom wanted bit."""
-        events = []
-
-        class Listener:
-            def on_wanted_added(self, pid, piece):
-                events.append(("wanted_added", piece))
-
         n = 8
         for initial in (range(n), (1, 2)):
             plain = self._book(n, initial)
             masked = adopt_book(self._book(n, initial))
-            masked.set_listener(Listener(), "p1")
             for piece in (n, n + 5, 64, -1, -9):
                 plain.unexpect(piece)
                 masked.unexpect(piece)
@@ -301,33 +299,7 @@ class TestAdoption:
                 assert masked.wanted() == plain.wanted()
                 assert masked._wanted_nonempty() == \
                     plain._wanted_nonempty()
-            assert events == []
-
-    def test_listener_event_order_preserved(self):
-        """wanted_removed still fires before completed_added."""
-        events = []
-
-        class Listener:
-            def on_wanted_added(self, pid, piece):
-                events.append(("wanted_added", piece))
-
-            def on_wanted_removed(self, pid, piece):
-                events.append(("wanted_removed", piece))
-
-            def on_completed_added(self, pid, piece):
-                events.append(("completed_added", piece))
-
-        book = adopt_book(self._book())
-        book.set_listener(Listener(), "p1")
-        book.add_completed(3)
-        assert events == [("wanted_removed", 3),
-                          ("completed_added", 3)]
-        events.clear()
-        book.expect(4)
-        assert events == [("wanted_removed", 4)]
-        events.clear()
-        book.unexpect(4)
-        assert events == [("wanted_added", 4)]
+                assert masked._wmask >> n == 0
 
     def test_shared_sybil_book_stays_shared(self):
         """Sybil identities sharing one book object keep sharing it
@@ -343,12 +315,167 @@ class TestAdoption:
             for peer in captured["peers"]:
                 swarm.sim.schedule(1.0, peer.join)
 
-        run_swarm(protocol="tchain", seed=9, leechers=6, pieces=5,
-                  setup=setup,
-                  extra={"columnar": True, "interest_index": False})
+        result = run_swarm(protocol="tchain", seed=9, leechers=6,
+                           pieces=5, setup=setup)
+        assert result.swarm.interest is not None
+        result.swarm.columnar.check_consistency()
         books = {id(p.book) for p in captured["peers"]}
         assert len(books) == 1
         assert isinstance(captured["peers"][0].book, ColumnarBook)
+
+
+def sybil_run(protocol, columnar, index, options=None):
+    """A swarm with a 3-identity Sybil group sharing one book."""
+    from repro.attacks.sybil import make_sybil_group
+    from repro.bt.protocols.bittorrent import BitTorrentLeecher
+    from repro.bt.protocols.tchain import TChainLeecher
+
+    leecher_cls = {"bittorrent": BitTorrentLeecher,
+                   "tchain": TChainLeecher}[protocol]
+    kwargs = {} if options is None else {"options": options}
+
+    def setup(swarm):
+        for peer in make_sybil_group(swarm, leecher_cls, size=3,
+                                     **kwargs):
+            swarm.sim.schedule(1.0, peer.join)
+
+    return run_swarm(protocol=protocol, seed=9, leechers=12, pieces=16,
+                     setup=setup,
+                     extra={"columnar": columnar, "interest_index": index})
+
+
+class TestSybilGroups:
+    """Sybil identities share one book; every backend must agree on
+    the run, and the holder columns must count every identity."""
+
+    @pytest.mark.parametrize("protocol,options", [
+        ("bittorrent", None),
+        ("tchain", FreeRiderOptions(large_view=True, collude=True)),
+    ])
+    def test_digest_equal_across_backends(self, protocol, options):
+        outcomes = []
+        for columnar in (False, True):
+            for index in (False, True):
+                result = sybil_run(protocol, columnar, index, options)
+                if columnar:
+                    result.swarm.columnar.check_consistency()
+                if index:
+                    result.swarm.interest.check_consistency()
+                sim = result.swarm.sim
+                outcomes.append((record_rows(result), sim.events_fired,
+                                 sim.now))
+        assert outcomes[0][1] > 300  # the scenario actually ran
+        assert all(o == outcomes[0] for o in outcomes[1:])
+
+
+def holder_swarm(n_pieces, seed, n_peers=12):
+    """A joined T-Chain swarm (no event run) on the default backend
+    with seeded random books, two identities sharing one book, and one
+    deactivated-but-still-adjacent peer."""
+    rng = Random(seed)
+    swarm = Swarm(SwarmConfig(n_pieces=n_pieces, seed=seed,
+                              max_neighbors=6, refill_threshold=2,
+                              tracker_list_size=5))
+    shared = PieceBook(swarm.torrent)
+    peers = []
+    for i in range(n_peers):
+        # Zero capacity: pump never plans, so the books stay as set.
+        peer = TChainLeecher(swarm, f"L{i:02d}", capacity_kbps=0.0)
+        if i in (3, 7):
+            peer.book = shared
+        peer.join()
+        peers.append(peer)
+    for peer in peers:
+        density = rng.choice((0.0, 0.1, 0.5, 0.95))
+        for piece in range(n_pieces):
+            roll = rng.random()
+            if roll < density:
+                peer.book.add_completed(piece)
+            elif roll < density + 0.05:
+                peer.book.expect(piece)
+    gone = peers[-1]
+    gone.active = False
+    swarm.note_deactivated(gone)
+    return swarm, peers
+
+
+class TestHolderColumns:
+    @pytest.mark.parametrize("n_pieces", [4, 64, 512, 2048])
+    def test_choice_equals_naive_lrf(self, n_pieces):
+        """``choose_piece_from`` on the holder columns returns the
+        naive ``local_rarest_first`` piece over ``neighbor_peers()``
+        from the same rng state, and leaves the same rng state."""
+        compared = 0
+        for seed in (1, 2):
+            swarm, peers = holder_swarm(n_pieces, seed)
+            swarm.columnar.check_consistency()
+            rng = swarm.sim.rng
+            store = swarm.columnar
+            for me in peers:
+                if not me.active:
+                    continue
+                books = [p.book.completed for p in me.neighbor_peers()]
+                for uploader in peers:
+                    if uploader is me:
+                        continue
+                    cand = me.book.needs_from(uploader.book.completed)
+                    assert store.availability(
+                        me, set_to_mask(cand)) == availability(
+                            sorted(cand), books)
+                    state = rng.getstate()
+                    got = me.choose_piece_from(uploader)
+                    after = rng.getstate()
+                    rng.setstate(state)
+                    want = local_rarest_first(cand, books, rng)
+                    assert got == want
+                    assert rng.getstate() == after
+                    compared += want is not None
+        assert compared > 50
+
+    def test_recycled_row_and_rebrand_leave_no_stale_bits(self):
+        swarm, peers = holder_swarm(64, seed=3)
+        store = swarm.columnar
+        leaver = next(p for p in peers
+                      if p.active and p.book.completed_count > 5
+                      and p.book is not peers[3].book)
+        row = store.row_of[leaver.id]
+        leaver.leave()
+        assert not any(h >> row & 1 for h in store.holders)
+        newcomer = TChainLeecher(swarm, "N00", capacity_kbps=0.0)
+        newcomer.join()
+        assert store.row_of["N00"] == row  # the freed row is reused
+        assert not any(h >> row & 1 for h in store.holders)
+        store.check_consistency()
+        # A whitewash rebrand releases the old row and adopts anew.
+        washer = next(p for p in peers
+                      if p.active and p.book.completed_count > 5
+                      and p is not newcomer)
+        old_id = washer.id
+        washer.whitewash()
+        assert old_id not in store.row_of
+        store.check_consistency()
+        # The rebuild check has teeth: a stale bit is caught.
+        store.holders[0] |= 1 << (len(store.ids) + 3)
+        with pytest.raises(AssertionError, match="holders"):
+            store.check_consistency()
+
+    def test_shared_book_completion_reaches_every_identity(self):
+        """The shared book was filled after both identities joined, so
+        each of its completions must have set both identities' bits,
+        and one identity leaving must keep the other's."""
+        swarm, peers = holder_swarm(16, seed=4)
+        store = swarm.columnar
+        shared = peers[3].book
+        assert shared is peers[7].book and shared.completed
+        row_3, row_7 = store.row_of[peers[3].id], store.row_of[peers[7].id]
+        for piece in shared.completed:
+            assert store.holders[piece] >> row_3 & 1
+            assert store.holders[piece] >> row_7 & 1
+        peers[3].leave()
+        for piece in shared.completed:
+            assert not store.holders[piece] >> row_3 & 1
+            assert store.holders[piece] >> row_7 & 1
+        store.check_consistency()
 
 
 class TestTrackerSkipView:

@@ -2,17 +2,18 @@
 
 Two contracts are under test (``repro.bt.interest``):
 
-* **Trace neutrality** — the incremental index is a pure
+* **Trace neutrality** — the tracked-peer registry is a pure
   acceleration: a run with ``interest_index`` enabled must be
   bit-identical (full event trace *and* final metrics) to the same
   run with the naive rescans.
 * **Consistency under churn** — after *every* fired event in a
   scenario full of joins, completion-leaves, whitewash rebrands,
-  crashes and flow-window churn, the tracked set and the availability
-  counts must equal a from-scratch naive rescan
-  (``InterestIndex.check_consistency``), and each T-Chain node's
-  ``_flow_blocked`` mirror must equal the flow controller's actual
-  over-window set.
+  crashes and flow-window churn, the tracked set must equal the active
+  registered peers (``InterestIndex.check_consistency``), the columnar
+  tables including the LRF holder columns must equal a from-scratch
+  rebuild (``ColumnarState.check_consistency``), and each T-Chain
+  node's ``_flow_blocked`` mirror must equal the flow controller's
+  actual over-window set.
 
 A third suite pins the interest predicates themselves: on seeded
 random books, in every columnar x index combination, each one equals
@@ -124,6 +125,7 @@ class TestChurnConsistency:
             def check(_handle):
                 nonlocal checks
                 swarm.interest.check_consistency()
+                swarm.columnar.check_consistency()
                 _assert_flow_mirrors(swarm)
                 checks += 1
 
