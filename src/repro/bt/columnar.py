@@ -1,15 +1,11 @@
 """Columnar swarm state: dense rows + bitmask piece books.
 
-The object model keeps per-peer piece state in four Python ``set``
-objects per :class:`~repro.bt.torrent.PieceBook` and answers every
-serving question by walking peer object graphs.  At 10^5 peers the
-sets dominate memory and the per-neighbor set intersections dominate
-time.  This module provides the flat backend:
+This module holds the swarm's one source of truth for piece state:
 
-* :class:`ColumnarBook` — a drop-in ``PieceBook`` replacement that
-  stores *completed*/*expected*/*wanted* as integer bitmasks (one bit
-  per piece).  Predicates like ``needs_from`` become single ``&``
-  operations.
+* :class:`ColumnarBook` — one peer's piece book (``repro.bt.torrent``
+  binds it as ``PieceBook``), storing *completed*/*expected*/*wanted*
+  as integer bitmasks (one bit per piece).  Predicates like
+  ``needs_from`` become single ``&`` operations.
 * :class:`ColumnarState` — a per-swarm table mapping peer ids to dense
   row indexes with flat columns (peer object, book, liveness, sorted
   neighbor adjacency) that the protocol scans operate on wholesale
@@ -26,24 +22,20 @@ time.  This module provides the flat backend:
   the book's mask and cleared at :meth:`ColumnarState.release`, so a
   recycled row starts clean.
 
-Trace neutrality is the hard contract: every fast path iterates
-neighbors in the ``topology.sorted_neighbors()`` order, applies
-predicates whose truth values provably equal the naive ones, and feeds
-identical candidate lists to identical rng draws.  ``ColumnarBook``'s
-set-returning views materialize sets whose *elements* equal the naive
-live sets; every consumer in the tree is iteration-order-independent
-(boolean predicates, membership tests, and min/sorted-pool/rng.choice
-aggregations), which ``tests/test_columnar.py`` pins with full-trace
-diffs across protocols and seeds.
+Trace neutrality is the hard contract: every scan iterates neighbors
+in the ``topology.sorted_neighbors()`` order and feeds sorted candidate
+lists to the rng draws.  ``ColumnarBook``'s set-returning views
+materialize fresh sets; every consumer in the tree is
+iteration-order-independent (boolean predicates, membership tests, and
+min/sorted-pool/rng.choice aggregations), which the golden trace
+digests in ``tests/`` pin across protocols and seeds.
 
-Adoption happens in :meth:`repro.bt.swarm.Swarm.register` by mutating
-``peer.book.__class__`` in place rather than swapping the object:
-books are replaced after construction (``runner`` pre-seeds partial
-books) and even *shared* between peers (the Sybil group pools one
-book), so preserving object identity is what keeps every outstanding
-reference coherent.  A shared book records every row that holds it
-(``_rows``), so one completion reaches the holder columns of every
-Sybil identity at once.
+Books are replaced after peer construction (``runner`` pre-seeds
+partial books) and even *shared* between peers (the Sybil group pools
+one book), so :meth:`ColumnarState.adopt` attaches whatever book the
+peer holds at registration.  A shared book records every row that
+holds it (``_rows``), so one completion reaches the holder columns of
+every Sybil identity at once.
 """
 
 from __future__ import annotations
@@ -51,11 +43,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Set, TYPE_CHECKING
 
-from repro.bt.torrent import PieceBook
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bt.peer import Peer
     from repro.bt.swarm import Swarm
+    from repro.bt.torrent import Torrent
 
 try:  # Python >= 3.10
     _popcount = int.bit_count  # type: ignore[attr-defined]
@@ -99,21 +90,24 @@ def set_to_mask(pieces) -> int:
     return mask
 
 
-class ColumnarBook(PieceBook):
-    """A ``PieceBook`` whose state is three bitmasks.
+class ColumnarBook:
+    """One peer's piece state, as three bitmasks.
 
-    Invariants mirror the set model exactly: ``missing = ~completed``,
-    ``wanted = missing & ~expected``.  ``_rows`` are the
-    :class:`ColumnarState` rows holding this book (several for a shared
-    Sybil book, none while detached; row numbers, not a row bitmask, so
-    a book costs O(1) memory however many rows the state has) and
-    ``_holders`` is that state's holder-column list, which
-    :meth:`add_completed` updates.
-    Instances are normally produced by :func:`adopt_book`, which
-    transmutes an existing ``PieceBook`` in place.
+    ``completed`` — decrypted/usable pieces; what the peer can serve.
+    ``expected`` — pieces on their way: in-flight downloads plus (for
+    T-Chain) encrypted pieces awaiting a key.  Piece selection skips
+    expected pieces so the same piece is never fetched twice.
+    Invariants: ``missing = ~completed``, ``wanted = missing &
+    ~expected``.
+
+    ``_rows`` are the :class:`ColumnarState` rows holding this book
+    (several for a shared Sybil book, none while detached; row numbers,
+    not a row bitmask, so a book costs O(1) memory however many rows
+    the state has) and ``_holders`` is that state's holder-column list,
+    which :meth:`add_completed` updates.
     """
 
-    def __init__(self, torrent, initial_pieces=()):
+    def __init__(self, torrent: "Torrent", initial_pieces=()):
         self.torrent = torrent
         self._cmask = 0
         self._emask = 0
@@ -127,10 +121,11 @@ class ColumnarBook(PieceBook):
     # -- completed ------------------------------------------------------
     @property
     def completed(self) -> Set[int]:
-        """Completed piece indices (materialized from the mask)."""
+        """Completed piece indices (a fresh set built from the mask)."""
         return mask_to_set(self._cmask)
 
     def add_completed(self, piece: int) -> bool:
+        """Mark a piece usable; returns False if already completed."""
         self._check(piece)
         bit = 1 << piece
         self._emask &= ~bit
@@ -145,20 +140,24 @@ class ColumnarBook(PieceBook):
         return True
 
     def has(self, piece: int) -> bool:
+        """True if the piece is completed."""
         # No mask holds a bit at or above n_pieces, so only negative
         # indices (a ValueError for ``>>``) need the range guard.
         return piece >= 0 and bool(self._cmask >> piece & 1)
 
     @property
     def completed_count(self) -> int:
+        """Number of completed pieces."""
         return self._ccount
 
     @property
     def is_complete(self) -> bool:
+        """True when the whole file is downloaded."""
         return self._ccount == self.torrent.n_pieces
 
     # -- expected -------------------------------------------------------
     def expect(self, piece: int) -> None:
+        """Mark a piece as in flight / pending decryption."""
         self._check(piece)
         bit = 1 << piece
         if not self._cmask & bit:
@@ -166,9 +165,9 @@ class ColumnarBook(PieceBook):
             self._wmask &= ~bit
 
     def unexpect(self, piece: int) -> None:
-        # Out of range is a no-op, as in PieceBook (where such a piece
-        # is never missing): no phantom wanted bit for a piece that
-        # does not exist.
+        """A pending piece fell through (departure, abort)."""
+        # Out of range is a no-op: no phantom wanted bit for a piece
+        # that does not exist.
         if not 0 <= piece < self.torrent.n_pieces:
             return
         bit = 1 << piece
@@ -177,55 +176,41 @@ class ColumnarBook(PieceBook):
             self._wmask |= bit
 
     def is_expected(self, piece: int) -> bool:
+        """True if the piece is in flight or pending a key."""
         return piece >= 0 and bool(self._emask >> piece & 1)
 
     # -- derived sets ---------------------------------------------------
     def missing(self) -> Set[int]:
+        """Pieces not yet completed (may include expected ones)."""
         full = (1 << self.torrent.n_pieces) - 1
         return mask_to_set(full & ~self._cmask)
 
     def wanted(self) -> Set[int]:
+        """Pieces worth requesting: not completed and not expected."""
         return mask_to_set(self._wmask)
 
     def needs_from(self, other_completed) -> Set[int]:
+        """Wanted pieces that ``other_completed`` could provide."""
         wmask = self._wmask
         return {p for p in other_completed if wmask >> p & 1}
 
     def wants(self, piece: int) -> bool:
+        """True if the piece is wanted (not completed, not expected)."""
         return piece >= 0 and bool(self._wmask >> piece & 1)
 
     def _wanted_nonempty(self) -> bool:
+        """O(1) ``bool(wanted())`` without materializing a set."""
         return bool(self._wmask)
+
+    def _check(self, piece: int) -> None:
+        if not 0 <= piece < self.torrent.n_pieces:
+            raise IndexError(f"piece {piece} out of range "
+                             f"[0, {self.torrent.n_pieces})")
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"ColumnarBook({self._ccount}/"
                 f"{self.torrent.n_pieces} done, "
                 f"{_popcount(self._emask)} expected)")
-
-
-def adopt_book(book: PieceBook) -> ColumnarBook:
-    """Transmute a ``PieceBook`` into a :class:`ColumnarBook` in place.
-
-    The object identity is preserved on purpose: books get replaced
-    after peer construction and shared across Sybil identities, so
-    every outstanding reference must keep seeing the live state.
-    Idempotent for books that are already columnar.
-    """
-    if isinstance(book, ColumnarBook):
-        return book
-    cmask = set_to_mask(book._completed)
-    emask = set_to_mask(book._expected)
-    wmask = set_to_mask(book._wanted)
-    ccount = len(book._completed)
-    del book._completed, book._expected, book._missing, book._wanted
-    book.__class__ = ColumnarBook
-    book._cmask = cmask
-    book._emask = emask
-    book._wmask = wmask
-    book._ccount = ccount
-    book._rows = []
-    book._holders = None
-    return book
 
 
 class ColumnarState:
@@ -265,14 +250,14 @@ class ColumnarState:
     # deregister / rebrand)
     # ------------------------------------------------------------------
     def adopt(self, peer: "Peer") -> int:
-        """Allocate a row for a registering peer, columnarize its
-        book (idempotent on the book: a shared or rejoining book is
-        transmuted once and reused) and set the row's holder bits."""
+        """Allocate a row for a registering peer, attach its book (a
+        shared or rejoining book keeps one ``_rows`` list across all its
+        rows) and set the row's holder bits."""
         pid = peer.id
         row = self.row_of.get(pid)
         if row is not None:
             return row
-        book = adopt_book(peer.book)
+        book = peer.book
         if self._free:
             row = self._free.pop()
             self.ids[row] = pid
@@ -381,8 +366,8 @@ class ColumnarState:
 
     def interested_ids(self, peer: "Peer") -> List[str]:
         """Live neighbors wanting >=1 of ``peer``'s completed pieces,
-        in sorted-id order (equals the naive ``interested_neighbors``
-        fallback element for element)."""
+        in sorted-id order (equals filtering ``peer.neighbor_peers()``
+        by ``needs_from(peer.book.completed)``)."""
         row = self.row_of.get(peer.id)
         if row is None:
             return []
@@ -447,8 +432,6 @@ class ColumnarState:
             assert self.ids[row] == pid
             assert self.objs[row] is peer
             book = peer.book
-            assert isinstance(book, ColumnarBook), (
-                f"{pid} book not adopted: {type(book).__name__}")
             assert self.books[row] is book
             assert self.alive[row] == peer.active, (
                 f"alive[{pid}]={self.alive[row]} != "

@@ -23,6 +23,22 @@ from typing import Optional, Sequence
 #: Paper values (Sec. IV-A): leecher upload bandwidths vary 400-1200 Kbps.
 DEFAULT_LEECHER_CAPACITIES = (400.0, 600.0, 800.0, 1000.0, 1200.0)
 
+#: Every ``SwarmConfig.extra`` key some part of the simulator reads.
+#: Any other key is a typo that would silently run the default, so
+#: :class:`SwarmConfig` rejects it.
+EXTRA_KEYS = frozenset({
+    "net",                     # network substrate spec (repro.net.link)
+    "sanitize",                # simulation sanitizer / race reporter
+    "profile",                 # per-event allocation profiler
+    "pool_events",             # EventHandle free-list
+    "pool_messages",           # T-Chain piece-message pool
+    "quiet_window_s",          # Swarm.run quiet stop
+    "chain_stall_timeout_s",   # T-Chain recovery timers ...
+    "key_timeout_s",
+    "control_retry_base_s",
+    "control_retry_attempts",
+})
+
 
 @dataclass
 class SwarmConfig:
@@ -57,6 +73,14 @@ class SwarmConfig:
     max_sim_time_s: Optional[float] = None
     chain_sample_interval_s: float = 10.0
     extra: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        unknown = sorted(set(self.extra) - EXTRA_KEYS, key=str)
+        if unknown:
+            raise ValueError(
+                f"unknown SwarmConfig.extra key(s) "
+                f"{', '.join(map(repr, unknown))}; accepted keys: "
+                f"{', '.join(sorted(EXTRA_KEYS))}")
 
     @property
     def file_size_mb(self) -> float:

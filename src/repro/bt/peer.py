@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, TYPE_CHECKING
 
-from repro.bt.columnar import ColumnarBook, _popcount, mask_bits
+from repro.bt.columnar import _popcount, mask_bits
 from repro.bt.interest import wants_from
-from repro.bt.piece_selection import local_rarest_first
 from repro.bt.torrent import PieceBook
 from repro.net.bandwidth import Transfer, Uplink
+from repro.sim.events import PeriodicTask
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bt.swarm import Swarm
@@ -103,10 +103,7 @@ class Peer:
         # (flow windows, backoff expiry, trust/credit changes) and
         # produce no event of their own; real clients re-evaluate on
         # the unchoke cadence, so every peer pumps periodically too.
-        from repro.sim.events import PeriodicTask
-        self._rescan_task = self.swarm.periodic(
-            self.swarm.config.rechoke_interval_s, self._rescan,
-            key=self.id) or PeriodicTask(
+        self._rescan_task = PeriodicTask(
             self.sim, self.swarm.config.rechoke_interval_s,
             self._rescan)
         self.on_join()
@@ -119,18 +116,9 @@ class Peer:
         # Starvation detection: we want pieces but no current neighbor
         # has any of them (e.g. attackers eclipsed the peers that do).
         # A real client goes back to the tracker in that situation.
-        if self.book._wanted_nonempty():
-            store = self.swarm.columnar
-            if store is not None:
-                # Mask scan over the adjacency column; equals the
-                # naive any() below piece for piece.
-                starved = not store.has_provider(self)
-            else:
-                wanted = self.book.wanted()
-                starved = not any(wanted & peer.book.completed
-                                  for peer in self.neighbor_peers())
-            if starved:
-                self.refill_neighbors()
+        if self.book._wanted_nonempty() \
+                and not self.swarm.columnar.has_provider(self):
+            self.refill_neighbors()
         self.pump()
 
     def on_rescan(self) -> None:
@@ -390,14 +378,7 @@ class Peer:
 
     def interested_neighbors(self) -> list:
         """Neighbors that want at least one of our completed pieces."""
-        store = self.swarm.columnar
-        if store is not None:
-            # Same sorted-id walk and the same want∩completed
-            # predicate, one mask AND per neighbor.
-            return store.interested_ids(self)
-        mine = self.book.completed
-        return [p.id for p in self.neighbor_peers()
-                if p.book.needs_from(mine)]
+        return self.swarm.columnar.interested_ids(self)
 
     def is_interested_in(self, other: "Peer") -> bool:
         """Do we want a piece the other peer has completed?"""
@@ -405,15 +386,7 @@ class Peer:
 
     def choose_piece_from(self, uploader: "Peer") -> Optional[int]:
         """Receiver-side LRF piece choice (Sec. II-A)."""
-        my_book, up_book = self.book, uploader.book
-        if not (isinstance(my_book, ColumnarBook)
-                and isinstance(up_book, ColumnarBook)):
-            candidates = my_book.needs_from(up_book.completed)
-            if not candidates:
-                return None
-            books = [p.book.completed for p in self.neighbor_peers()]
-            return local_rarest_first(candidates, books, self.sim.rng)
-        cand_mask = my_book._wmask & up_book._cmask
+        cand_mask = self.book._wmask & uploader.book._cmask
         if not cand_mask:
             return None
         if not cand_mask & (cand_mask - 1):

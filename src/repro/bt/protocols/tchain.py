@@ -43,13 +43,8 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from repro.bt.columnar import ColumnarBook, mask_bits, set_to_mask
-from repro.bt.interest import (
-    needed_overlap,
-    offers_interest,
-    wanted_mask,
-    wants_from,
-)
+from repro.bt.columnar import mask_bits, set_to_mask
+from repro.bt.interest import needed_overlap, offers_interest, wants_from
 from repro.bt.peer import Peer, UploadPlan
 from repro.bt.protocols.base import BaselineLeecher
 from repro.bt.torrent import full_book, piece_payload
@@ -132,13 +127,8 @@ class TChainState:
         # harness diffs full traces with the flag off to prove the
         # pool is invisible to the simulation.
         self.pool_messages = config.extra.get("pool_messages", True)
-        # Registry sampling is order-free (no SL203 listing), so it is
-        # the one timer the coalescing gate lets join a shared herd
-        # when ``extra["coalesce_timers"]`` is on.
         sample = lambda: self.registry.sample(swarm.sim.now)
-        self._sampler = swarm.periodic(
-            config.chain_sample_interval_s, sample,
-            key="tchain:sampler", first_delay=0.0) or PeriodicTask(
+        self._sampler = PeriodicTask(
             swarm.sim, config.chain_sample_interval_s, sample,
             first_delay=0.0)
 
@@ -263,72 +253,47 @@ class _TChainNode(Peer):
     # Donor planning
     # ------------------------------------------------------------------
     def _eligible_requestors(self) -> List[str]:
-        """Neighbors we could start serving right now."""
-        store = self.swarm.columnar
-        if store is not None and isinstance(self.book, ColumnarBook):
-            # Same conjunction as the naive walk below, evaluated
-            # interest-first over the flat adjacency arrays (already
-            # in sorted-id order), then through the in-flight,
-            # flow-blocked (the ``flow.eligible`` mirror) and backoff
-            # lookups: pure filters, so the list comes out equal.
-            in_flight = self._in_flight_to
-            blocked = self._flow_blocked
-            banned = self._banned_until
-            now = self.sim.now
-            return [nid for nid in store.interested_ids(self)
-                    if nid not in in_flight and nid not in blocked
-                    and (not banned or now >= banned.get(nid, 0.0))]
-        mine = self.book.completed
-        result = []
-        for peer in self.neighbor_peers():
-            if self.uploading_to(peer.id):
-                continue
-            if not self.flow.eligible(peer.id):
-                continue
-            if not self.cooperative(peer.id):
-                continue
-            if peer.book.needs_from(mine):
-                result.append(peer.id)
-        return sorted(result)
+        """Neighbors we could start serving right now: interested
+        (one mask AND per neighbor over the flat adjacency arrays,
+        already in sorted-id order), then not in flight, not
+        flow-blocked (the ``flow.eligible`` mirror) and not backed off
+        (``cooperative``)."""
+        in_flight = self._in_flight_to
+        blocked = self._flow_blocked
+        banned = self._banned_until
+        now = self.sim.now
+        return [nid for nid in self.swarm.columnar.interested_ids(self)
+                if nid not in in_flight and nid not in blocked
+                and (not banned or now >= banned.get(nid, 0.0))]
 
     def _payee_candidates(self, requestor: Peer,
                           offered: Set[int]) -> List[str]:
         """Our neighbors that need ≥1 of the requestor's pieces
         (including the piece about to be uploaded), Sec. II-B2."""
-        requestor_id = requestor.id
         store = self.swarm.columnar
-        requestor_book = requestor.book
-        if (store is not None and isinstance(requestor_book, ColumnarBook)
-                and self.id in store.row_of):
-            # ``wmask & (requestor.cmask | offered)`` ⟺ the
-            # ``offers_interest`` predicate below, walked over the flat
-            # adjacency arrays (already in sorted-id order).  The mask
-            # AND rejects most neighbors, so it runs first; liveness
-            # and the inline ``cooperative`` lookup only see the rest.
-            row = store.row_of[self.id]
-            offer_mask = requestor_book._cmask | set_to_mask(offered)
-            books = store.books
-            alive = store.alive
-            banned = self._banned_until
-            now = self.sim.now
-            adj_rows = store.adj_rows[row]
-            result = []
-            for pos, nid in enumerate(store.adj_ids[row]):
-                nrow = adj_rows[pos]
-                if (books[nrow]._wmask & offer_mask and alive[nrow]
-                        and nid != requestor_id
-                        and (not banned or now >= banned.get(nid, 0.0))):
-                    result.append(nid)
-            return result
+        row = store.row_of.get(self.id)
+        if row is None:
+            return []
+        # ``wmask & (requestor.cmask | offered)`` is the
+        # ``offers_interest`` predicate, walked over the flat adjacency
+        # arrays (already in sorted-id order).  The mask AND rejects
+        # most neighbors, so it runs first; liveness and the inline
+        # ``cooperative`` lookup only see the rest.
+        requestor_id = requestor.id
+        offer_mask = requestor.book._cmask | set_to_mask(offered)
+        books = store.books
+        alive = store.alive
+        banned = self._banned_until
+        now = self.sim.now
+        adj_rows = store.adj_rows[row]
         result = []
-        for peer in self.neighbor_peers():
-            if peer.id in (self.id, requestor_id):
-                continue
-            if not self.cooperative(peer.id):
-                continue
-            if offers_interest(requestor, offered, peer):
-                result.append(peer.id)
-        return sorted(result)
+        for pos, nid in enumerate(store.adj_ids[row]):
+            nrow = adj_rows[pos]
+            if (books[nrow]._wmask & offer_mask and alive[nrow]
+                    and nid != requestor_id
+                    and (not banned or now >= banned.get(nid, 0.0))):
+                result.append(nid)
+        return result
 
     def _plan_donation(self, requestor_id: str,
                        reciprocates: Optional[Transaction] = None,
@@ -410,33 +375,21 @@ class _TChainNode(Peer):
         usable = needed_overlap(self, requestor)
         if not usable:
             return None, None
-        index = self.swarm.interest
+        requestor_id = requestor.id
+        blocked = self._flow_blocked
+        banned = self._banned_until
+        now = self.sim.now
+        tracked_peer = self.swarm.interest.tracked_peer
         candidates = []
-        if index is not None:
-            requestor_id = requestor.id
-            blocked = self._flow_blocked
-            banned = self._banned_until
-            now = self.sim.now
-            tracked_peer = index.tracked_peer
-            for nid in self.swarm.topology.sorted_neighbors(self.id):
-                if nid == requestor_id or nid in blocked:
-                    continue
-                if banned and now < banned.get(nid, 0.0):
-                    continue
-                # Untracked (inactive) neighbors never qualify.
-                peer = tracked_peer(nid)
-                if peer is not None and wanted_mask(peer.book) & usable:
-                    candidates.append(nid)
-        else:
-            for peer in self.neighbor_peers():
-                if peer.id in (self.id, requestor.id):
-                    continue
-                if not self.flow.eligible(peer.id):
-                    continue
-                if not self.cooperative(peer.id):
-                    continue
-                if wanted_mask(peer.book) & usable:
-                    candidates.append(peer.id)
+        for nid in self.swarm.topology.sorted_neighbors(self.id):
+            if nid == requestor_id or nid in blocked:
+                continue
+            if banned and now < banned.get(nid, 0.0):
+                continue
+            # Untracked (inactive) neighbors never qualify.
+            peer = tracked_peer(nid)
+            if peer is not None and peer.book._wmask & usable:
+                candidates.append(nid)
         if not candidates:
             return None, None
         payee_id = self.sim.rng.choice(sorted(candidates))
@@ -444,7 +397,7 @@ class _TChainNode(Peer):
         # donor ∩ requestor-wanted ∩ payee-wanted, ascending: the same
         # sorted feasible list select_bootstrap_piece draws from, and
         # never empty (the payee wants a usable piece).
-        feasible = mask_bits(usable & wanted_mask(payee.book))
+        feasible = mask_bits(usable & payee.book._wmask)
         piece = self.sim.rng.choice(feasible)
         return piece, PayeeDecision(ReciprocityKind.INDIRECT, payee_id)
 
@@ -683,16 +636,12 @@ class _TChainNode(Peer):
         elif requestor is None:
             new_payee = None
         else:
+            # Candidates come out of the flat adjacency arrays already
+            # in sorted-id order, so one rng draw picks among them.
             candidates = []
-            if (swarm.columnar is not None
-                    and isinstance(requestor.book, ColumnarBook)
-                    and self.id in swarm.columnar.row_of):
-                # Columnar arm: identical conjunction to the naive walk
-                # below over the flat adjacency arrays; candidates come
-                # out already in sorted-id order, so the rng draw
-                # matches ``rng.choice(sorted(candidates))``.
-                store = swarm.columnar
-                row = store.row_of[self.id]
+            store = swarm.columnar
+            row = store.row_of.get(self.id)
+            if row is not None:
                 offer_mask = requestor.book._cmask | set_to_mask(extra)
                 books = store.books
                 alive = store.alive
@@ -709,22 +658,8 @@ class _TChainNode(Peer):
                         continue
                     if books[nrow]._wmask & offer_mask:
                         candidates.append(nid)
-                new_payee = (self.sim.rng.choice(candidates)
-                             if candidates else None)
-            else:
-                for peer in self.neighbor_peers():
-                    if peer.id in (self.id, tx.requestor_id):
-                        continue
-                    if peer.id in exclude:
-                        continue
-                    if not self.flow.eligible(peer.id):
-                        continue
-                    if not self.cooperative(peer.id):
-                        continue
-                    if offers_interest(requestor, extra, peer):
-                        candidates.append(peer.id)
-                new_payee = (self.sim.rng.choice(sorted(candidates))
-                             if candidates else None)
+            new_payee = (self.sim.rng.choice(candidates)
+                         if candidates else None)
         if new_payee is None:
             key = ledger.forgive(tx.transaction_id, self.sim.now)
             self.swarm.metrics.recovery.forgives += 1
@@ -1003,16 +938,11 @@ class TChainLeecher(BaselineLeecher, _TChainNode):
                                               payee)
                        or not self.flow.eligible(payee.id))
         if payee_stale:
-            index = self.swarm.interest
-            if index is not None:
-                adjacent = self.swarm.topology.neighbors(self.id)
-                tracked = index._tracked
-                banned = set(nid for nid in self._flow_blocked
-                             if nid in adjacent and nid in tracked)
-            else:
-                banned = set(
-                    p.id for p in self.neighbor_peers()
-                    if not self.flow.eligible(p.id))
+            # Flow-blocked live neighbors (the ``flow.eligible`` mirror).
+            adjacent = self.swarm.topology.neighbors(self.id)
+            tracked = self.swarm.interest._tracked
+            banned = set(nid for nid in self._flow_blocked
+                         if nid in adjacent and nid in tracked)
             if payee is not None:
                 banned.add(payee.id)  # whatever made it stale persists
             banned = frozenset(banned)

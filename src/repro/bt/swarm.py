@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import os
-
 from repro.analysis.metrics import SwarmMetrics
 from repro.bt.columnar import ColumnarState
 from repro.bt.config import SwarmConfig
@@ -24,16 +22,7 @@ from repro.bt.peer import Peer
 from repro.bt.torrent import Torrent
 from repro.bt.tracker import Tracker
 from repro.net.topology import Topology
-from repro.sim.engine import CoalesceGate, Simulator, TimerHerd
-
-
-def _default_baseline_path() -> str:
-    """The checked-in ``simlint-baseline.json`` (repo root, two levels
-    above the ``repro`` package in the src layout)."""
-    package_dir = os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__)))  # .../src/repro
-    return os.path.join(os.path.dirname(os.path.dirname(package_dir)),
-                        "simlint-baseline.json")
+from repro.sim.engine import Simulator
 
 
 class Swarm:
@@ -57,34 +46,13 @@ class Swarm:
                                  config.refill_threshold)
         self.topology.on_disconnect = self._notify_disconnect
         #: Registry of active registered peers (see
-        #: :mod:`repro.bt.interest`).  On by default;
-        #: ``extra={"interest_index": False}`` makes T-Chain's
-        #: bootstrap and payee-repair scans walk ``neighbor_peers()``
-        #: instead (the trace-equality tests run both).
-        self.interest: Optional[InterestIndex] = None
-        if config.extra.get("interest_index", True):
-            self.interest = InterestIndex(self)
-        #: Columnar rows, bitmask books and LRF holder columns (see
-        #: :mod:`repro.bt.columnar`).  On by default;
-        #: ``extra={"columnar": False}`` keeps the per-peer set-backed
-        #: ``PieceBook`` objects and the naive LRF recount (the
-        #: trace-equality tests and the crowd bench equivalence leg run
-        #: both).
-        self.columnar: Optional[ColumnarState] = None
-        if config.extra.get("columnar", True):
-            self.columnar = ColumnarState(self)
-            self.topology.on_edge_added = self.columnar.on_edge_added
-            self.topology.on_edge_removed = self.columnar.on_edge_removed
-        #: SL203-gated timer coalescing (opt-in, docs/PERF.md): the
-        #: gate refuses every handler in the baseline's do-not-coalesce
-        #: inventory; a missing baseline refuses everything.
-        self._coalesce_gate: Optional[CoalesceGate] = None
-        self._herds: Dict[Tuple[float, Optional[float]], TimerHerd] = {}
-        if config.extra.get("coalesce_timers", False):
-            baseline = config.extra.get("coalesce_baseline")
-            if baseline is None:
-                baseline = _default_baseline_path()
-            self._coalesce_gate = CoalesceGate.from_baseline(baseline)
+        #: :mod:`repro.bt.interest`).
+        self.interest = InterestIndex(self)
+        #: Columnar rows and LRF holder columns over the bitmask books
+        #: (see :mod:`repro.bt.columnar`).
+        self.columnar = ColumnarState(self)
+        self.topology.on_edge_added = self.columnar.on_edge_added
+        self.topology.on_edge_removed = self.columnar.on_edge_removed
         self.metrics = SwarmMetrics()
         self.peers: Dict[str, Peer] = {}
         self.departed: Dict[str, Peer] = {}
@@ -130,16 +98,14 @@ class Swarm:
         if peer.id in self.peers:
             raise ValueError(f"duplicate peer id {peer.id!r}")
         self.peers[peer.id] = peer
-        if self.columnar is not None:
-            self.columnar.adopt(peer)
+        self.columnar.adopt(peer)
         self.topology.add_peer(peer.id,
                                unlimited=peer.unlimited_neighbors)
         if self.net is not None:
             # Place onto the substrate at registration: join order is
             # deterministic, so round-robin placement is too.
             self.net.place(peer.id)
-        if self.interest is not None:
-            self.interest.add_peer(peer)
+        self.interest.add_peer(peer)
         if peer.kind != "seeder":
             self.active_leechers += 1
 
@@ -151,26 +117,22 @@ class Swarm:
         and the tracked set drop the peer in the same instant
         ``neighbor_peers()`` stops returning it.
         """
-        if self.columnar is not None:
-            self.columnar.on_deactivated(peer)
-        if self.interest is not None:
-            self.interest.remove_peer(peer)
+        self.columnar.on_deactivated(peer)
+        self.interest.remove_peer(peer)
 
     def deregister(self, peer: Peer) -> None:
         """Called by ``Peer.leave``."""
-        if self.interest is not None:
-            self.interest.remove_peer(peer)  # idempotent backstop
+        self.interest.remove_peer(peer)  # idempotent backstop
         self.peers.pop(peer.id, None)
         self.topology.remove_peer(peer.id)
         self.departed[peer.id] = peer
         if peer.kind != "seeder":
             self.active_leechers -= 1
         self.metrics.record_peer(peer, self.sim.now)
-        if self.columnar is not None:
-            # Last: the detached book keeps answering (metrics above,
-            # late unexpects from cancelled transfers) off its own
-            # masks; only the row is recycled here.
-            self.columnar.release(peer.id)
+        # Last: the detached book keeps answering (metrics above, late
+        # unexpects from cancelled transfers) off its own masks; only
+        # the row is recycled here.
+        self.columnar.release(peer.id)
 
     def find_peer(self, peer_id: str) -> Optional[Peer]:
         """Active peer by id, else None."""
@@ -204,30 +166,6 @@ class Swarm:
         if peer is not None:
             peer.on_neighbor_disconnected(departed)
 
-    # ------------------------------------------------------------------
-    # Timer coalescing
-    # ------------------------------------------------------------------
-    def periodic(self, interval_s: float, callback, key: str,
-                 first_delay: Optional[float] = None):
-        """Try to coalesce a periodic handler into a shared herd.
-
-        Returns a :class:`repro.sim.engine.HerdMember` when coalescing
-        is enabled (``extra={"coalesce_timers": True}``) AND the SL203
-        gate permits the handler; ``None`` otherwise, in which case the
-        caller constructs its own ``PeriodicTask`` — keeping the
-        construction site (and thus the simrace schedule-site
-        analysis) in the protocol module that owns the handler.
-        """
-        gate = self._coalesce_gate
-        if gate is None or not gate.permits(callback):
-            return None
-        herd_key = (interval_s, first_delay)
-        herd = self._herds.get(herd_key)
-        if herd is None:
-            herd = self._herds[herd_key] = TimerHerd(
-                self.sim, interval_s, first_delay)
-        return herd.add(key, callback)
-
     def rebrand(self, peer: Peer) -> str:
         """Give a peer a fresh identity (whitewashing support).
 
@@ -242,19 +180,16 @@ class Swarm:
         self.tracker.leave(old_id)
         self.peers.pop(old_id, None)
         self.topology.remove_peer(old_id)
-        if self.columnar is not None:
-            self.columnar.release(old_id)
+        self.columnar.release(old_id)
         new_id = self.new_peer_id("W")
         if self.net is not None:
             # A rebrand changes identity, not geography.
             self.net.rename(old_id, new_id)
         peer.id = new_id
         self.peers[new_id] = peer
-        if self.columnar is not None:
-            self.columnar.adopt(peer)
+        self.columnar.adopt(peer)
         self.topology.add_peer(new_id, unlimited=peer.unlimited_neighbors)
-        if self.interest is not None:
-            self.interest.add_peer(peer)
+        self.interest.add_peer(peer)
         members = self.tracker.announce(new_id)
         self.tracker.join(new_id)
         for member in members:

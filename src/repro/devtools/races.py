@@ -3,9 +3,8 @@
 The engine's ``(time, seq)`` tie-break makes same-instant event order
 deterministic but *silently load-bearing*: two handlers that can land
 on the same timestamp and do not commute have a well-defined outcome
-today, yet any reordering — and in particular the event **coalescing**
-that ROADMAP item 1's 10^5-peer scaling depends on — changes the
-trace.  This pass finds those pairs statically:
+today, yet any reordering — batching same-interval timers behind one
+heap entry, for instance — changes the trace.  This pass finds those pairs statically:
 
 1. collect every **schedule site** whose firing instant is statically
    characterizable, and bucket the ones that can coincide:
@@ -35,12 +34,12 @@ trace.  This pass finds those pairs statically:
    here — every pair of rng-using handlers would otherwise conflict;
 
 3. check each periodic handler *against itself across instances* —
-   the coalescing transform collapses N same-tick invocations into
-   one batch, which is only trace-safe if invocations commute with
-   each other.  A handler that draws from the shared rng, plainly
-   writes ``shared``/``other`` state, or writes a ``self`` field it
-   also reads through another instance, is provably unsafe to
-   coalesce → **SL203**, the safety gate for ROADMAP item 1.
+   collapsing N same-tick invocations into one batch is only
+   trace-safe if invocations commute with each other.  A handler that
+   draws from the shared rng, plainly writes ``shared``/``other``
+   state, or writes a ``self`` field it also reads through another
+   instance, is provably unsafe to coalesce → **SL203**, the
+   inventory of periodic handlers whose same-tick order matters.
 
 Findings anchor at the schedule (or timer-construction) site, so a
 ``simlint: disable=SL20x -- reason`` comment there suppresses the

@@ -53,7 +53,7 @@ SL201     simrace: co-schedulable handlers write conflicting state
 SL202     simrace: co-schedulable read/write overlap (what one
           handler observes depends on seq order)
 SL203     simrace: periodic handler provably unsafe to coalesce
-          (the safety gate for ROADMAP item 1's event coalescing)
+          (same-tick invocations across instances do not commute)
 SL301     simheat: allocation in a per-event hot path (each event
           pays it; the per-event garbage bill at 10^5 peers)
 SL302     simheat: O(peers)/O(pieces)-scale copy or rescan in a
@@ -1192,20 +1192,20 @@ class RaceReadWriteOverlapRule(MetaRule):
 class RaceUncoalescableTimerRule(MetaRule):
     """SL203: a periodic timer handler is provably unsafe to coalesce.
 
-    Collapsing N same-tick invocations into one batch (the ROADMAP
-    item 1 scaling transform) is only trace-safe when the invocations
-    commute with each other: a handler that draws from the shared
-    rng, plainly writes shared/unknown-receiver state, or reads what
-    another instance's invocation writes, does not.  Emitted by the
-    simrace pass of ``repro lint --deep``; a baselined SL203 is the
-    checked-in inventory of timers the coalescing optimizer must not
-    touch.
+    Collapsing N same-tick invocations into one batch is only
+    trace-safe when the invocations commute with each other: a
+    handler that draws from the shared rng, plainly writes
+    shared/unknown-receiver state, or reads what another instance's
+    invocation writes, does not.  Emitted by the simrace pass of
+    ``repro lint --deep``; a baselined SL203 is the checked-in
+    inventory of same-instant order dependence among periodic
+    timers.
     """
 
     id = "SL203"
     name = "race-uncoalescable-timer"
     description = ("periodic handler provably unsafe to coalesce "
-                   "(--deep, simrace; ROADMAP item 1 gate)")
+                   "(--deep, simrace)")
 
 
 @register

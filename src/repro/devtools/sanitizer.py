@@ -38,7 +38,7 @@ reports pairs of *same-instant* events whose footprints conflict:
 both wrote a field, or one read what the other wrote.  Such pairs are
 exactly the events whose outcome depends on the engine's ``(time,
 seq)`` tie-break — deterministic today, but unsafe to coalesce or
-reorder (ROADMAP item 1).  Unlike the invariant sanitizer it never
+reorder.  Unlike the invariant sanitizer it never
 raises: a conflict is an order-sensitivity *hazard*, not a bug, so it
 collects bounded, deduplicated :class:`RaceConflict` records for the
 caller to inspect (``repro chaos --races`` prints them).

@@ -15,12 +15,6 @@ changes land with numbers instead of adjectives:
   :mod:`repro.experiments.parallel`, reporting the speedup and
   asserting the two result lists compare equal (the bit-identical
   guarantee, checked on every bench run, not just in tests).
-* **index_equivalence** — one T-Chain churn run executed twice, with
-  the interest index (tracked-peer registry) enabled and disabled,
-  asserting the full event traces compare bit-identical (the
-  trace-neutrality guarantee of :mod:`repro.bt.interest`, checked on
-  every bench run — including the ``--quick`` CI smoke — not just in
-  tests).
 * **sweep_fabric** — the same sweep through plain ``run_specs`` and
   through the fault-tolerant fabric
   (:mod:`repro.experiments.fabric`), pinning the fabric's overhead
@@ -484,51 +478,10 @@ def bench_alloc_audit(quick: bool = False,
     }
 
 
-#: Scenario for the index-equivalence leg: free-riders whitewash and
-#: leechers leave on completion, so the index sees real churn.
+#: Churn scenario for the alloc-audit trace diff: free-riders whitewash
+#: and leechers leave on completion.
 INDEX_EQUIV_SPEC = dict(protocol="tchain", seed=7, leechers=12,
                         pieces=8, freerider_fraction=0.25)
-
-
-def bench_index_equivalence() -> Dict[str, object]:
-    """Trace-neutrality leg: index on vs off, bit-identical or raise.
-
-    Runs the same T-Chain churn scenario twice — once with the
-    interest index, once with the naive rescans — and
-    compares the full event trace ``(time, seq, callback)`` tuples.
-    Any divergence is an index-invalidation bug, so it fails the whole
-    bench run rather than merely reporting a number.
-    """
-    from repro.experiments import run_swarm
-
-    def traced(enabled: bool) -> List[tuple]:
-        trace: List[tuple] = []
-
-        def setup(swarm):
-            swarm.sim.add_observer(
-                lambda handle: trace.append(
-                    (handle.time, handle.seq,
-                     getattr(handle.callback, "__qualname__",
-                             repr(handle.callback)))))
-
-        run_swarm(setup=setup, extra={"interest_index": enabled},
-                  **INDEX_EQUIV_SPEC)
-        return trace
-
-    start = time.perf_counter()  # simlint: disable=SL002 -- benchmark measures real wall-time by design
-    indexed = traced(True)
-    naive = traced(False)
-    wall = time.perf_counter() - start  # simlint: disable=SL002 -- see above
-    if indexed != naive:  # pragma: no cover - would be an index bug
-        raise AssertionError(
-            "interest-index run diverged from naive rescan — "
-            "trace neutrality broken")
-    return {
-        "scenario": dict(INDEX_EQUIV_SPEC),
-        "events_compared": len(indexed),
-        "identical": True,
-        "wall_time_s": round(wall, 3),
-    }
 
 
 #: Scenario for the substrate leg: big enough that the per-event
@@ -781,7 +734,6 @@ def run_bench(quick: bool = False, repeat: int = 3,
                                            repeat=repeat, quick=quick),
         "tchain_crowd": bench_tchain_crowd(quick=quick),
         "alloc_audit": bench_alloc_audit(quick=quick),
-        "index_equivalence": bench_index_equivalence(),
         # The substrate walls are short, so this leg takes more
         # best-of repeats than the heavyweight legs to keep the
         # overhead ratio out of scheduler-noise territory.

@@ -2,27 +2,26 @@
 
 Three contracts are under test:
 
-* **Trace neutrality** — a run with the columnar backend enabled must
-  be bit-identical (full event trace *and* final metrics) to the same
-  run on the plain object model, across protocols and seeds, and in
-  every combination with the interest index.
+* **Trace neutrality** — a run on the bitmask books and columnar rows
+  reproduces, bit for bit, the full event trace and final metrics
+  pinned in ``tests/test_golden_digests.py`` from the set-backed
+  reference books, across protocols and seeds.
 * **Consistency under churn** — after *every* fired event in a
   scenario full of joins, completion-leaves, whitewash rebrands and
   crashes, every columnar table (rows, masks, adjacency, free list)
   must equal a from-scratch naive rescan
   (``ColumnarState.check_consistency``).
-* **Adoption semantics** — ``adopt_book`` transmutes a live
-  ``PieceBook`` in place (same object identity), so post-construction
-  book replacement and Sybil shared books keep working.
+* **Book semantics** — the bitmask book answers every query exactly as
+  a plain set model of the same operations (``SetBook`` below), and a
+  book shared by Sybil identities stays one object.
 """
-
-import pytest
 
 from random import Random
 
+import pytest
+
 from repro.bt.columnar import (
     ColumnarBook,
-    adopt_book,
     mask_bits,
     mask_to_set,
     set_to_mask,
@@ -37,31 +36,7 @@ from repro.bt.torrent import PieceBook, Torrent
 from repro.bt.tracker import Tracker
 from repro.core.bootstrap import select_bootstrap_piece
 from repro.experiments import run_swarm
-
-
-def traced_run(extra, seed=7, protocol="tchain", **kwargs):
-    """One run returning (event trace, result) under ``extra``."""
-    trace = []
-
-    def setup(swarm):
-        swarm.sim.add_observer(
-            lambda handle: trace.append(
-                (handle.time, handle.seq,
-                 getattr(handle.callback, "__qualname__",
-                         repr(handle.callback)))))
-
-    result = run_swarm(protocol=protocol, seed=seed, setup=setup,
-                       extra=dict(extra), **kwargs)
-    return trace, result
-
-
-def record_rows(result):
-    """Bit-comparable projection of the final per-peer metrics."""
-    return sorted(
-        (r.peer_id, r.kind, r.capacity_kbps, r.join_time,
-         r.finish_time, r.leave_time, r.kb_uploaded, r.kb_downloaded,
-         r.pieces_uploaded, r.pieces_downloaded, r.utilization)
-        for r in result.metrics.records)
+from tests.test_golden_digests import GOLDEN_TRACES, trace_digest
 
 
 #: Whitewashing free-riders + completion-leaves exercise every
@@ -72,71 +47,53 @@ CHURN_SCENARIO = dict(leechers=14, pieces=10, freerider_fraction=0.25)
 class TestTraceNeutrality:
     @pytest.mark.parametrize("seed", [7, 11, 23])
     def test_tchain_full_trace_bit_identical(self, seed):
-        trace_on, result_on = traced_run(
-            {"columnar": True, "interest_index": False}, seed=seed,
-            **CHURN_SCENARIO)
-        trace_off, result_off = traced_run(
-            {"columnar": False, "interest_index": False}, seed=seed,
-            **CHURN_SCENARIO)
-        assert len(trace_on) > 200  # the scenario actually ran
-        assert trace_on == trace_off
-        assert record_rows(result_on) == record_rows(result_off)
+        assert trace_digest(protocol="tchain", seed=seed,
+                            **CHURN_SCENARIO) \
+            == GOLDEN_TRACES[f"tchain-churn-{seed}"]
 
     @pytest.mark.parametrize("seed", [7, 11, 23])
     def test_bittorrent_full_trace_bit_identical(self, seed):
-        kwargs = dict(leechers=10, pieces=8)
-        trace_on, _ = traced_run(
-            {"columnar": True, "interest_index": False},
-            seed=seed, protocol="bittorrent", **kwargs)
-        trace_off, _ = traced_run(
-            {"columnar": False, "interest_index": False},
-            seed=seed, protocol="bittorrent", **kwargs)
-        assert len(trace_on) > 50
-        assert trace_on == trace_off
+        assert trace_digest(protocol="bittorrent", seed=seed,
+                            leechers=10, pieces=8) \
+            == GOLDEN_TRACES[f"bittorrent-{seed}"]
 
     @pytest.mark.parametrize("protocol", ["propshare", "random"])
     def test_other_baselines_bit_identical(self, protocol):
-        kwargs = dict(leechers=10, pieces=8)
-        trace_on, _ = traced_run(
-            {"columnar": True, "interest_index": False},
-            protocol=protocol, **kwargs)
-        trace_off, _ = traced_run(
-            {"columnar": False, "interest_index": False},
-            protocol=protocol, **kwargs)
-        assert len(trace_on) > 50
-        assert trace_on == trace_off
+        assert trace_digest(protocol=protocol, seed=7, leechers=10,
+                            pieces=8) == GOLDEN_TRACES[f"{protocol}-7"]
 
     def test_columnar_and_index_compose(self):
-        """All four on/off combinations yield the same trace."""
-        traces = [
-            traced_run({"columnar": c, "interest_index": i},
-                       **CHURN_SCENARIO)[0]
-            for c in (False, True) for i in (False, True)]
-        assert len(traces[0]) > 200
-        assert all(t == traces[0] for t in traces[1:])
+        """The columnar rows and the interest registry stay consistent
+        together after every event of the churn run, and the run still
+        reproduces the pinned trace."""
+        checks = 0
+
+        def setup(swarm):
+            def check(_handle):
+                nonlocal checks
+                swarm.columnar.check_consistency()
+                swarm.interest.check_consistency()
+                checks += 1
+
+            swarm.sim.add_observer(check)
+
+        assert trace_digest(protocol="tchain", seed=7, setup=setup,
+                            **CHURN_SCENARIO) \
+            == GOLDEN_TRACES["tchain-churn-7"]
+        assert checks > 200  # the scenario actually ran
 
     def test_columnar_and_index_compose_many_pieces(self):
-        """The four combinations agree where masks span many bytes
-        (300 pieces: LRF and the bootstrap rule decode wide masks)."""
-        runs = [traced_run({"columnar": c, "interest_index": i},
-                           leechers=10, pieces=300,
-                           freerider_fraction=0.25)
-                for c in (False, True) for i in (False, True)]
-        trace, result = runs[0]
-        assert len(trace) > 5000
-        assert all(t == trace for t, _ in runs[1:])
-        assert all(record_rows(r) == record_rows(result)
-                   for _, r in runs[1:])
+        """Masks span many bytes (300 pieces: LRF and the bootstrap
+        rule decode wide masks); the pinned trace is the one every
+        columnar x index combination agreed on."""
+        assert trace_digest(protocol="tchain", seed=7, leechers=10,
+                            pieces=300, freerider_fraction=0.25) \
+            == GOLDEN_TRACES["tchain-300-7"]
 
     def test_columnar_enabled_by_default(self):
         result = run_swarm(protocol="tchain", seed=3, leechers=6,
                            pieces=5)
         assert result.swarm.columnar is not None
-
-    def test_columnar_disabled_when_opted_out(self):
-        result = run_swarm(protocol="tchain", seed=3, leechers=6,
-                           pieces=5, extra={"columnar": False})
-        assert result.swarm.columnar is None
 
 
 class TestChurnConsistency:
@@ -164,20 +121,18 @@ class TestChurnConsistency:
             swarm.sim.add_observer(check)
 
         run_swarm(protocol="tchain", seed=11, setup=setup,
-                  extra={"columnar": True, "interest_index": False},
                   **CHURN_SCENARIO)
         assert checks > 200  # the property was actually exercised
 
     def test_final_state_consistent_for_baselines(self):
         for protocol in ("bittorrent", "propshare"):
             result = run_swarm(protocol=protocol, seed=5, leechers=8,
-                               pieces=6,
-                               extra={"interest_index": False})
+                               pieces=6)
             result.swarm.columnar.check_consistency()
 
     def test_sanitized_run_clean_with_columnar_on(self):
         result = run_swarm(protocol="tchain", seed=13, sanitize=True,
-                           extra={"columnar": True}, **CHURN_SCENARIO)
+                           **CHURN_SCENARIO)
         assert result.swarm.columnar is not None
         assert result.swarm.sim.events_fired > 200
 
@@ -235,51 +190,75 @@ class TestMaskHelpers:
             assert _popcount(mask) == bin(mask).count("1")
 
 
+class SetBook:
+    """Plain-set model of a piece book: the semantics reference the
+    bitmask book is driven against."""
+
+    def __init__(self, n_pieces, initial_pieces=()):
+        self.n = n_pieces
+        self.completed, self.expected = set(), set()
+        for piece in initial_pieces:
+            self.add_completed(piece)
+
+    def add_completed(self, piece):
+        self.expected.discard(piece)
+        if piece in self.completed:
+            return False
+        self.completed.add(piece)
+        return True
+
+    def expect(self, piece):
+        if piece not in self.completed:
+            self.expected.add(piece)
+
+    def unexpect(self, piece):
+        self.expected.discard(piece)
+
+    def missing(self):
+        return set(range(self.n)) - self.completed
+
+    def wanted(self):
+        return self.missing() - self.expected
+
+
 class TestAdoption:
     def _book(self, n=8, initial=()):
         return PieceBook(Torrent(n_pieces=n), initial_pieces=initial)
 
-    def test_transmute_preserves_identity(self):
-        book = self._book(initial=(1, 2))
-        before = id(book)
-        adopted = adopt_book(book)
-        assert adopted is book
-        assert id(book) == before
-        assert isinstance(book, ColumnarBook)
-        assert isinstance(book, PieceBook)  # still a PieceBook
-        assert book.completed == {1, 2}
-        assert adopt_book(book) is book  # idempotent
+    def _assert_same(self, book, model):
+        n = model.n
+        assert book.completed == model.completed
+        assert book.missing() == model.missing()
+        assert book.wanted() == model.wanted()
+        assert book._wanted_nonempty() == bool(model.wanted())
+        assert book.completed_count == len(model.completed)
+        assert book.is_complete == (len(model.completed) == n)
+        for p in range(-2, n + 2):
+            assert book.has(p) == (p in model.completed)
+            assert book.wants(p) == (p in model.wanted())
+            assert book.is_expected(p) == (p in model.expected)
 
     def test_semantics_match_plain_book(self):
-        """Drive a ColumnarBook and a PieceBook through the same
+        """Drive the bitmask book and the set model through the same
         randomized operation sequence; every observable must agree."""
         rng = Random(42)
-        torrent = Torrent(n_pieces=12)
-        plain = PieceBook(torrent, initial_pieces=(0,))
-        masked = adopt_book(PieceBook(torrent, initial_pieces=(0,)))
+        book = self._book(12, (0,))
+        model = SetBook(12, (0,))
         for _ in range(300):
             piece = rng.randrange(12)
             op = rng.choice(("complete", "expect", "unexpect"))
             if op == "complete":
-                assert plain.add_completed(piece) == \
-                    masked.add_completed(piece)
+                assert book.add_completed(piece) == \
+                    model.add_completed(piece)
             elif op == "expect":
-                plain.expect(piece)
-                masked.expect(piece)
+                book.expect(piece)
+                model.expect(piece)
             else:
-                plain.unexpect(piece)
-                masked.unexpect(piece)
-            assert masked.completed == plain.completed
-            assert masked.missing() == plain.missing()
-            assert masked.wanted() == plain.wanted()
-            assert masked.completed_count == plain.completed_count
-            assert masked.is_complete == plain.is_complete
-            for p in range(12):
-                assert masked.has(p) == plain.has(p)
-                assert masked.wants(p) == plain.wants(p)
-                assert masked.is_expected(p) == plain.is_expected(p)
+                book.unexpect(piece)
+                model.unexpect(piece)
+            self._assert_same(book, model)
             other = set(rng.sample(range(12), 5))
-            assert masked.needs_from(other) == plain.needs_from(other)
+            assert book.needs_from(other) == other & model.wanted()
 
     def test_out_of_range_pieces_match_plain_book(self):
         """Pieces outside [0, n_pieces) are never held, wanted or
@@ -287,23 +266,17 @@ class TestAdoption:
         complete book, where it used to set a phantom wanted bit."""
         n = 8
         for initial in (range(n), (1, 2)):
-            plain = self._book(n, initial)
-            masked = adopt_book(self._book(n, initial))
+            book = self._book(n, initial)
+            model = SetBook(n, initial)
             for piece in (n, n + 5, 64, -1, -9):
-                plain.unexpect(piece)
-                masked.unexpect(piece)
-                for book in (plain, masked):
-                    assert not book.has(piece)
-                    assert not book.wants(piece)
-                    assert not book.is_expected(piece)
-                assert masked.wanted() == plain.wanted()
-                assert masked._wanted_nonempty() == \
-                    plain._wanted_nonempty()
-                assert masked._wmask >> n == 0
+                book.unexpect(piece)
+                model.unexpect(piece)
+                self._assert_same(book, model)
+                assert book._wmask >> n == 0
 
     def test_shared_sybil_book_stays_shared(self):
         """Sybil identities sharing one book object keep sharing it
-        through adoption (one mask set, N columnar rows)."""
+        through registration (one mask set, N columnar rows)."""
         from repro.attacks.sybil import make_sybil_group
         from repro.bt.protocols.tchain import TChainLeecher
 
@@ -317,18 +290,17 @@ class TestAdoption:
 
         result = run_swarm(protocol="tchain", seed=9, leechers=6,
                            pieces=5, setup=setup)
-        assert result.swarm.interest is not None
         result.swarm.columnar.check_consistency()
         books = {id(p.book) for p in captured["peers"]}
         assert len(books) == 1
         assert isinstance(captured["peers"][0].book, ColumnarBook)
 
 
-def sybil_run(protocol, columnar, index, options=None):
-    """A swarm with a 3-identity Sybil group sharing one book."""
+def sybil_setup(protocol, options=None):
+    """A ``run_swarm`` setup adding a 3-identity Sybil group sharing
+    one book."""
     from repro.attacks.sybil import make_sybil_group
     from repro.bt.protocols.bittorrent import BitTorrentLeecher
-    from repro.bt.protocols.tchain import TChainLeecher
 
     leecher_cls = {"bittorrent": BitTorrentLeecher,
                    "tchain": TChainLeecher}[protocol]
@@ -338,34 +310,33 @@ def sybil_run(protocol, columnar, index, options=None):
         for peer in make_sybil_group(swarm, leecher_cls, size=3,
                                      **kwargs):
             swarm.sim.schedule(1.0, peer.join)
-
-    return run_swarm(protocol=protocol, seed=9, leechers=12, pieces=16,
-                     setup=setup,
-                     extra={"columnar": columnar, "interest_index": index})
+    return setup
 
 
 class TestSybilGroups:
-    """Sybil identities share one book; every backend must agree on
-    the run, and the holder columns must count every identity."""
+    """Sybil identities share one book; the run must match the trace
+    every backend combination agreed on, and the holder columns must
+    count every identity."""
 
     @pytest.mark.parametrize("protocol,options", [
         ("bittorrent", None),
         ("tchain", FreeRiderOptions(large_view=True, collude=True)),
     ])
     def test_digest_equal_across_backends(self, protocol, options):
-        outcomes = []
-        for columnar in (False, True):
-            for index in (False, True):
-                result = sybil_run(protocol, columnar, index, options)
-                if columnar:
-                    result.swarm.columnar.check_consistency()
-                if index:
-                    result.swarm.interest.check_consistency()
-                sim = result.swarm.sim
-                outcomes.append((record_rows(result), sim.events_fired,
-                                 sim.now))
-        assert outcomes[0][1] > 300  # the scenario actually ran
-        assert all(o == outcomes[0] for o in outcomes[1:])
+        stores = []
+        setup = sybil_setup(protocol, options)
+
+        def capture(swarm):
+            stores.append(swarm)
+            setup(swarm)
+
+        digest = trace_digest(protocol=protocol, seed=9, leechers=12,
+                              pieces=16, setup=capture)
+        swarm = stores[0]
+        swarm.columnar.check_consistency()
+        swarm.interest.check_consistency()
+        assert swarm.sim.events_fired > 300  # the scenario actually ran
+        assert digest == GOLDEN_TRACES[f"sybil-{protocol}"]
 
 
 def holder_swarm(n_pieces, seed, n_peers=12):

@@ -171,3 +171,22 @@ class TestQuietWindow:
         # alive until the cap
         assert result.swarm.active_leechers > 0
         assert result.swarm.sim.now == pytest.approx(2000.0)  # simlint: disable=SL004 -- exact deterministic timestamp is the assertion
+
+
+class TestExtraKeys:
+    @pytest.mark.parametrize("extra", [
+        {"quiet_windows_s": 5},   # a typo of quiet_window_s
+        {"columnar": False},      # not read by any code
+    ])
+    def test_unknown_extra_key_rejected(self, extra):
+        key = next(iter(extra))
+        with pytest.raises(ValueError) as err:
+            run_swarm(protocol="tchain", leechers=4, pieces=4, seed=1,
+                      extra=extra)
+        message = str(err.value)
+        assert repr(key) in message
+        assert "quiet_window_s" in message  # the accepted keys are listed
+
+    def test_every_read_key_accepted(self):
+        from repro.bt.config import EXTRA_KEYS, SwarmConfig
+        SwarmConfig(extra=dict.fromkeys(EXTRA_KEYS))

@@ -2,10 +2,10 @@
 
 Two contracts are under test (``repro.bt.interest``):
 
-* **Trace neutrality** — the tracked-peer registry is a pure
-  acceleration: a run with ``interest_index`` enabled must be
-  bit-identical (full event trace *and* final metrics) to the same
-  run with the naive rescans.
+* **Trace neutrality** — T-Chain's tracked-peer lookups reproduce, bit
+  for bit, the full event trace and final metrics pinned in
+  ``tests/test_golden_digests.py`` from the naive ``neighbor_peers()``
+  rescans they replaced.
 * **Consistency under churn** — after *every* fired event in a
   scenario full of joins, completion-leaves, whitewash rebrands,
   crashes and flow-window churn, the tracked set must equal the active
@@ -16,8 +16,9 @@ Two contracts are under test (``repro.bt.interest``):
   actual over-window set.
 
 A third suite pins the interest predicates themselves: on seeded
-random books, in every columnar x index combination, each one equals
-the plain set intersection it stands for.
+random books, with and without stalled neighbors and a departed
+peer, each one equals the plain set intersection and the naive
+neighbor walk it stands for.
 """
 
 from random import Random
@@ -29,31 +30,7 @@ from repro.bt.interest import offers_interest, wants_from
 from repro.bt.protocols.tchain import TChainLeecher
 from repro.bt.swarm import Swarm
 from repro.experiments import run_swarm
-
-
-def traced_run(enabled, seed=7, protocol="tchain", **kwargs):
-    """One run returning (event trace, result) with the index on/off."""
-    trace = []
-
-    def setup(swarm):
-        swarm.sim.add_observer(
-            lambda handle: trace.append(
-                (handle.time, handle.seq,
-                 getattr(handle.callback, "__qualname__",
-                         repr(handle.callback)))))
-
-    result = run_swarm(protocol=protocol, seed=seed, setup=setup,
-                       extra={"interest_index": enabled}, **kwargs)
-    return trace, result
-
-
-def record_rows(result):
-    """Bit-comparable projection of the final per-peer metrics."""
-    return sorted(
-        (r.peer_id, r.kind, r.capacity_kbps, r.join_time,
-         r.finish_time, r.leave_time, r.kb_uploaded, r.kb_downloaded,
-         r.pieces_uploaded, r.pieces_downloaded, r.utilization)
-        for r in result.metrics.records)
+from tests.test_golden_digests import GOLDEN_TRACES, trace_digest
 
 
 #: Whitewashing free-riders + completion-leaves exercise every index
@@ -63,30 +40,20 @@ TCHAIN_SCENARIO = dict(leechers=14, pieces=10, freerider_fraction=0.25)
 
 class TestTraceNeutrality:
     def test_tchain_full_trace_bit_identical(self):
-        trace_on, result_on = traced_run(True, **TCHAIN_SCENARIO)
-        trace_off, result_off = traced_run(False, **TCHAIN_SCENARIO)
-        assert len(trace_on) > 200  # the scenario actually ran
-        assert trace_on == trace_off
-        assert record_rows(result_on) == record_rows(result_off)
+        assert trace_digest(protocol="tchain", seed=7,
+                            **TCHAIN_SCENARIO) \
+            == GOLDEN_TRACES["tchain-churn-7"]
 
     def test_index_enabled_by_default(self):
         result = run_swarm(protocol="tchain", seed=3, leechers=6,
                            pieces=5)
         assert result.swarm.interest is not None
 
-    def test_index_disabled_when_opted_out(self):
-        result = run_swarm(protocol="tchain", seed=3, leechers=6,
-                           pieces=5, extra={"interest_index": False})
-        assert result.swarm.interest is None
-
     @pytest.mark.parametrize("protocol", ["bittorrent", "propshare",
                                           "fairtorrent", "random"])
     def test_baseline_protocols_bit_identical(self, protocol):
-        kwargs = dict(leechers=10, pieces=8)
-        trace_on, _ = traced_run(True, protocol=protocol, **kwargs)
-        trace_off, _ = traced_run(False, protocol=protocol, **kwargs)
-        assert len(trace_on) > 50
-        assert trace_on == trace_off
+        assert trace_digest(protocol=protocol, seed=7, leechers=10,
+                            pieces=8) == GOLDEN_TRACES[f"{protocol}-7"]
 
 
 def _assert_flow_mirrors(swarm):
@@ -155,19 +122,16 @@ class TestSanitizedChaosRun:
 # ----------------------------------------------------------------------
 # Interest predicates == naive set intersections
 # ----------------------------------------------------------------------
-BACKENDS = [(columnar, index) for columnar in (True, False)
-            for index in (True, False)]
-
-
-def random_swarm(n_pieces, columnar, index, seed, n_peers=14):
-    """A joined T-Chain swarm (no event run) with seeded random books,
-    a sparse topology, one deactivated-but-still-adjacent peer, and
-    some in-flight, flow-blocked and backed-off neighbors."""
+def random_swarm(n_pieces, seed, n_peers=14, stalled=True,
+                 departed=True):
+    """A joined T-Chain swarm (no event run) with seeded random books
+    and a sparse topology.  ``stalled`` adds some in-flight,
+    flow-blocked and backed-off neighbors; ``departed`` deactivates
+    one peer that stays in the topology."""
     rng = Random(seed)
     swarm = Swarm(SwarmConfig(
         n_pieces=n_pieces, seed=seed, max_neighbors=5,
-        refill_threshold=2, tracker_list_size=4,
-        extra={"columnar": columnar, "interest_index": index}))
+        refill_threshold=2, tracker_list_size=4))
     peers = []
     for i in range(n_peers):
         # Zero capacity: pump never plans, so the books stay as set.
@@ -182,7 +146,7 @@ def random_swarm(n_pieces, columnar, index, seed, n_peers=14):
                 peer.book.add_completed(piece)
             elif roll < density + 0.05:
                 peer.book.expect(piece)
-    for peer in peers:
+    for peer in peers if stalled else ():
         for nid in sorted(peer.neighbors()):
             roll = rng.random()
             if roll < 0.15:
@@ -192,10 +156,12 @@ def random_swarm(n_pieces, columnar, index, seed, n_peers=14):
                     peer.flow.on_piece_sent(nid)
             elif roll < 0.45:
                 peer._banned_until[nid] = swarm.sim.now + 1.0
-    # Deactivated mid-departure: still in the topology, no longer live.
-    gone = peers[-1]
-    gone.active = False
-    swarm.note_deactivated(gone)
+    if departed:
+        # Deactivated mid-departure: still in the topology, no longer
+        # live.
+        gone = peers[-1]
+        gone.active = False
+        swarm.note_deactivated(gone)
     return swarm, peers, rng
 
 
@@ -204,10 +170,14 @@ def naive_wants(wanter, pieces):
 
 
 @pytest.mark.parametrize("n_pieces", [4, 64, 512])
-@pytest.mark.parametrize("columnar,index", BACKENDS)
-def test_predicates_equal_set_intersections(n_pieces, columnar, index):
+@pytest.mark.parametrize("stalled,departed",
+                         [(s, d) for s in (False, True)
+                          for d in (False, True)])
+def test_predicates_equal_set_intersections(n_pieces, stalled, departed):
     for seed in (1, 2, 3):
-        swarm, peers, rng = random_swarm(n_pieces, columnar, index, seed)
+        swarm, peers, rng = random_swarm(n_pieces, seed,
+                                         stalled=stalled,
+                                         departed=departed)
         live = [p for p in peers if p.active]
         for me in live:
             mine = set(me.book.completed)

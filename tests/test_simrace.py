@@ -292,7 +292,7 @@ class TestRealTree:
         unexpected = self._fingerprints(findings) - allowed
         assert not unexpected, sorted(unexpected)
         # The inventory is non-trivial: the rechoke-family SL201 pairs
-        # and the SL203 do-not-coalesce set must actually be found.
+        # and the SL203 periodic-handler set must actually be found.
         rules = {f.rule for f in findings}
         assert "SL201" in rules and "SL203" in rules
 
